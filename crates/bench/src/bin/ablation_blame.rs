@@ -3,15 +3,14 @@
 //! curve saturates — justifying the default of 64.
 //!
 //! Run with `cargo run --release -p fires-bench --bin ablation_blame
-//! [circuit-name] [--threads N|auto]`.
+//! [circuit-name]`.
 
-use fires_bench::{json_row, run_fires, JsonOut, TextTable, Threads};
-use fires_core::FiresConfig;
+use fires_bench::{json_row, JsonOut, TextTable};
+use fires_core::{Fires, FiresConfig};
 use fires_obs::{Json, RunReport};
 
 fn main() {
-    let (json, mut args) = JsonOut::from_env();
-    let threads = Threads::extract(&mut args).count();
+    let (json, args) = JsonOut::from_env();
     let name = args
         .first()
         .cloned()
@@ -27,7 +26,7 @@ fn main() {
             blame_cap: cap,
             ..FiresConfig::default()
         };
-        let report = run_fires(&entry.circuit, config, threads);
+        let report = Fires::new(&entry.circuit, config).run();
         t.row([
             cap.to_string(),
             report.len().to_string(),

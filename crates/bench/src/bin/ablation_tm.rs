@@ -6,13 +6,12 @@
 //! Run with `cargo run --release -p fires-bench --bin ablation_tm
 //! [circuit-name]`.
 
-use fires_bench::{json_row, run_fires, JsonOut, TextTable, Threads};
-use fires_core::FiresConfig;
+use fires_bench::{json_row, JsonOut, TextTable};
+use fires_core::{Fires, FiresConfig};
 use fires_obs::{Json, RunReport};
 
 fn main() {
-    let (json, mut args) = JsonOut::from_env();
-    let threads = Threads::extract(&mut args).count();
+    let (json, args) = JsonOut::from_env();
     let name = args
         .first()
         .cloned()
@@ -23,7 +22,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut t = TextTable::new(["T_M", "# Red.", "0-cycle", "Max. c", "marks", "CPU s"]);
     for tm in [1usize, 2, 3, 5, 7, 9, 11, 13, 15, 20, 25] {
-        let report = run_fires(&entry.circuit, FiresConfig::with_max_frames(tm), threads);
+        let report = Fires::new(&entry.circuit, FiresConfig::with_max_frames(tm)).run();
         t.row([
             tm.to_string(),
             report.len().to_string(),

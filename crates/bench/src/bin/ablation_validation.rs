@@ -5,14 +5,13 @@
 //! Run with `cargo run --release -p fires-bench --bin ablation_validation
 //! [circuit names...]`.
 
-use fires_bench::{json_row, run_fires, JsonOut, TextTable, Threads};
+use fires_bench::{json_row, JsonOut, TextTable};
 use fires_circuits::suite::table2_suite;
 use fires_core::{Fires, FiresConfig, ValidationPolicy};
 use fires_obs::{Json, RunReport};
 
 fn main() {
-    let (json, mut filter) = JsonOut::from_env();
-    let threads = Threads::extract(&mut filter).count();
+    let (json, filter) = JsonOut::from_env();
     let mut rr = RunReport::new("ablation_validation", "suite");
     let mut rows = Vec::new();
     let default_rows = [
@@ -42,8 +41,8 @@ fn main() {
             continue;
         }
         let base = FiresConfig::with_max_frames(entry.frames);
-        let none = run_fires(&entry.circuit, base.without_validation(), threads);
-        let any = run_fires(&entry.circuit, base, threads);
+        let none = Fires::new(&entry.circuit, base.without_validation()).run();
+        let any = Fires::new(&entry.circuit, base).run();
         let earlier = Fires::new(
             &entry.circuit,
             FiresConfig {

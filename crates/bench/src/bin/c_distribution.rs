@@ -6,13 +6,12 @@
 //! Run with `cargo run --release -p fires-bench --bin c_distribution
 //! [circuit-names...]`.
 
-use fires_bench::{run_fires, JsonOut, Threads};
-use fires_core::FiresConfig;
+use fires_bench::JsonOut;
+use fires_core::{Fires, FiresConfig};
 use fires_obs::{Json, RunReport};
 
 fn main() {
-    let (json, mut filter) = JsonOut::from_env();
-    let threads = Threads::extract(&mut filter).count();
+    let (json, filter) = JsonOut::from_env();
     let mut rr = RunReport::new("c_distribution", "suite");
     let mut dists = Json::object();
     let defaults = [
@@ -33,11 +32,7 @@ fn main() {
         if !selected {
             continue;
         }
-        let report = run_fires(
-            &entry.circuit,
-            FiresConfig::with_max_frames(entry.frames),
-            threads,
-        );
+        let report = Fires::new(&entry.circuit, FiresConfig::with_max_frames(entry.frames)).run();
         let hist = report.c_histogram();
         let total = report.len().max(1);
         println!("{} ({} faults):", entry.name, report.len());

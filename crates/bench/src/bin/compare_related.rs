@@ -8,8 +8,8 @@
 //!
 //! Run with `cargo run --release -p fires-bench --bin compare_related`.
 
-use fires_bench::{json_row, run_fires, JsonOut, TextTable, Threads};
-use fires_core::{funtest_like, FiresConfig};
+use fires_bench::{json_row, JsonOut, TextTable};
+use fires_core::{funtest_like, Fires, FiresConfig};
 use fires_netlist::Circuit;
 use fires_obs::{Json, RunReport};
 
@@ -19,13 +19,12 @@ fn row(
     name: &str,
     circuit: &Circuit,
     frames: usize,
-    threads: usize,
 ) -> Json {
-    let fires = run_fires(
+    let fires = Fires::new(
         circuit,
         FiresConfig::with_max_frames(frames).without_validation(),
-        threads,
-    );
+    )
+    .run();
     let env = funtest_like(circuit).expect("envelope construction");
     t.row([
         name.to_string(),
@@ -47,8 +46,7 @@ fn row(
 }
 
 fn main() {
-    let (json, mut args) = JsonOut::from_env();
-    let threads = Threads::extract(&mut args).count();
+    let (json, _) = JsonOut::from_env();
     println!("FIRES vs FUNTEST-like combinational envelope (untestable faults)\n");
     let mut rr = RunReport::new("compare_related", "suite");
     let mut rows = Vec::new();
@@ -59,7 +57,6 @@ fn main() {
         "figure3",
         &fires_circuits::figures::figure3(),
         15,
-        threads,
     ));
     rows.push(row(
         &mut t,
@@ -67,7 +64,6 @@ fn main() {
         "figure7",
         &fires_circuits::figures::figure7(),
         3,
-        threads,
     ));
     rows.push(row(
         &mut t,
@@ -75,7 +71,6 @@ fn main() {
         "s27",
         &fires_circuits::iscas::s27(),
         15,
-        threads,
     ));
     for name in [
         "s208_like",
@@ -85,14 +80,7 @@ fn main() {
         "s1238_like",
     ] {
         let entry = fires_circuits::suite::by_name(name).expect("suite circuit");
-        rows.push(row(
-            &mut t,
-            &mut rr,
-            name,
-            &entry.circuit,
-            entry.frames,
-            threads,
-        ));
+        rows.push(row(&mut t, &mut rr, name, &entry.circuit, entry.frames));
     }
     println!("{}", t.render());
     rr.set_extra("rows", Json::Arr(rows));

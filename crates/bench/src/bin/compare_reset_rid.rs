@@ -14,8 +14,8 @@
 //! Run with `cargo run --release -p fires-bench --bin compare_reset_rid`.
 
 use fires_bdd::{reset_redundant, ResetRidOutcome};
-use fires_bench::{json_row, run_fires, JsonOut, TextTable, Threads};
-use fires_core::FiresConfig;
+use fires_bench::{json_row, JsonOut, TextTable};
+use fires_core::{Fires, FiresConfig};
 use fires_netlist::{Circuit, FaultList, LineGraph};
 use fires_obs::{Json, RunReport};
 
@@ -26,11 +26,10 @@ fn analyze(
     circuit: &Circuit,
     frames: usize,
     budget: usize,
-    threads: usize,
 ) -> Json {
     let lines = LineGraph::build(circuit);
     let reset = vec![false; circuit.num_dffs()];
-    let report = run_fires(circuit, FiresConfig::with_max_frames(frames), threads);
+    let report = Fires::new(circuit, FiresConfig::with_max_frames(frames)).run();
     let universe = FaultList::collapsed(circuit, &lines);
     // Compare over the same (collapsed) universe.
     let fires_set: Vec<_> = report
@@ -75,8 +74,7 @@ fn analyze(
 }
 
 fn main() {
-    let (json, mut args) = JsonOut::from_env();
-    let threads = Threads::extract(&mut args).count();
+    let (json, _) = JsonOut::from_env();
     println!("FIRES vs reset-assuming implicit state enumeration (all-zero reset)\n");
     let mut rr = RunReport::new("compare_reset_rid", "suite");
     let mut rows = Vec::new();
@@ -96,7 +94,6 @@ fn main() {
         &fires_circuits::figures::figure3(),
         15,
         budget,
-        threads,
     ));
     rows.push(analyze(
         &mut t,
@@ -105,7 +102,6 @@ fn main() {
         &fires_circuits::figures::figure7(),
         3,
         budget,
-        threads,
     ));
     rows.push(analyze(
         &mut t,
@@ -114,7 +110,6 @@ fn main() {
         &fires_circuits::iscas::s27(),
         15,
         budget,
-        threads,
     ));
     rows.push(analyze(
         &mut t,
@@ -123,7 +118,6 @@ fn main() {
         &fires_circuits::suite::by_name("s208_like").unwrap().circuit,
         13,
         budget,
-        threads,
     ));
     // The practicality point: a mid-size circuit under a tight budget.
     rows.push(analyze(
@@ -135,7 +129,6 @@ fn main() {
             .circuit,
         10,
         1 << 16,
-        threads,
     ));
     println!("{}", t.render());
     rr.set_extra("rows", Json::Arr(rows));

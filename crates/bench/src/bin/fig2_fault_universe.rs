@@ -9,8 +9,8 @@
 //!
 //! Run with `cargo run --release -p fires-bench --bin fig2_fault_universe`.
 
-use fires_bench::{json_row, run_fires, JsonOut, TextTable, Threads};
-use fires_core::FiresConfig;
+use fires_bench::{json_row, JsonOut, TextTable};
+use fires_core::{Fires, FiresConfig};
 use fires_netlist::{Circuit, FaultList, LineGraph};
 use fires_obs::{Json, RunReport};
 use fires_verify::{classify, Limits};
@@ -73,8 +73,7 @@ fn analyze(name: &str, circuit: &Circuit, t: &mut TextTable) -> Json {
 }
 
 fn main() {
-    let (json, mut args) = JsonOut::from_env();
-    let threads = Threads::extract(&mut args).count();
+    let (json, _) = JsonOut::from_env();
     let mut rr = RunReport::new("fig2_fault_universe", "figures+s27");
     let mut t = TextTable::new([
         "Circuit",
@@ -104,7 +103,7 @@ fn main() {
         ("figure7", fires_circuits::figures::figure7()),
         ("s27", fires_circuits::iscas::s27()),
     ] {
-        let report = run_fires(&circuit, FiresConfig::default(), threads);
+        let report = Fires::new(&circuit, FiresConfig::default()).run();
         let limits = Limits::default();
         let mut ok = 0usize;
         let mut bad = 0usize;

@@ -11,19 +11,13 @@
 //!
 //! Run with `cargo run --release -p fires-bench --bin initialization`.
 
-use fires_bench::{json_row, run_fires, JsonOut, TextTable, Threads};
-use fires_core::{remove_redundancies, FiresConfig};
+use fires_bench::{json_row, JsonOut, TextTable};
+use fires_core::{remove_redundancies, Fires, FiresConfig};
 use fires_netlist::{Circuit, LineGraph};
 use fires_obs::{Json, RunReport};
 use fires_verify::{is_synchronizable, shortest_synchronizing_sequence, BinMachine};
 
-fn analyze(
-    t: &mut TextTable,
-    rr: &mut RunReport,
-    name: &str,
-    circuit: &Circuit,
-    threads: usize,
-) -> Json {
+fn analyze(t: &mut TextTable, rr: &mut RunReport, name: &str, circuit: &Circuit) -> Json {
     let lines = LineGraph::build(circuit);
     let good = BinMachine::good(circuit, &lines);
     let sync_good = is_synchronizable(&good).unwrap_or(false);
@@ -32,7 +26,7 @@ fn analyze(
         .flatten()
         .map(|s| s.len());
 
-    let report = run_fires(circuit, FiresConfig::default(), threads);
+    let report = Fires::new(circuit, FiresConfig::default()).run();
     let mut preserved = 0usize;
     let mut broken = 0usize;
     for f in report.redundant_faults() {
@@ -77,8 +71,7 @@ fn analyze(
 }
 
 fn main() {
-    let (json, mut args) = JsonOut::from_env();
-    let threads = Threads::extract(&mut args).count();
+    let (json, _) = JsonOut::from_env();
     println!("Initialization analysis: synchronizing sequences vs c-cycle redundancy\n");
     let mut rr = RunReport::new("initialization", "figures+s27+fsm");
     let mut rows = Vec::new();
@@ -96,28 +89,24 @@ fn main() {
         &mut rr,
         "figure3",
         &fires_circuits::figures::figure3(),
-        threads,
     ));
     rows.push(analyze(
         &mut t,
         &mut rr,
         "figure7",
         &fires_circuits::figures::figure7(),
-        threads,
     ));
     rows.push(analyze(
         &mut t,
         &mut rr,
         "s27",
         &fires_circuits::iscas::s27(),
-        threads,
     ));
     rows.push(analyze(
         &mut t,
         &mut rr,
         "fsm_one_hot(5)",
         &fires_circuits::generators::fsm_one_hot(5, 2, 3),
-        threads,
     ));
     println!("{}", t.render());
     rr.set_extra("rows", Json::Arr(rows));

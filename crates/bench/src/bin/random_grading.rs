@@ -5,25 +5,24 @@
 //! Run with `cargo run --release -p fires-bench --bin random_grading
 //! [circuit-name] [vectors]`.
 
-use fires_bench::{record_fault_sim, run_fires, JsonOut, TextTable, Threads};
-use fires_core::FiresConfig;
+use fires_bench::{record_fault_sim, JsonOut, TextTable};
+use fires_core::{Fires, FiresConfig};
 use fires_netlist::{FaultList, LineGraph};
 use fires_sim::{parallel_simulate_faults, random_vectors};
 
 fn main() {
-    let (json, mut args) = JsonOut::from_env();
-    let threads = Threads::extract(&mut args).count();
+    let (json, args) = JsonOut::from_env();
     let name = args.first().map(String::as_str).unwrap_or("s386_like");
     let n_vectors: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2_000);
     let entry = fires_circuits::suite::by_name(name).expect("unknown suite circuit");
     let circuit = &entry.circuit;
     let lines = LineGraph::build(circuit);
 
-    let report = run_fires(
+    let report = Fires::new(
         circuit,
         FiresConfig::with_max_frames(entry.frames).without_validation(),
-        threads,
-    );
+    )
+    .run();
     let identified: FaultList = report.redundant_faults().iter().map(|f| f.fault).collect();
 
     let universe = FaultList::collapsed(circuit, &lines);

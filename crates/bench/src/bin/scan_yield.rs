@@ -13,8 +13,8 @@
 use std::time::Duration;
 
 use fires_atpg::{Atpg, AtpgConfig};
-use fires_bench::{json_row, run_fires, JsonOut, TextTable, Threads};
-use fires_core::FiresConfig;
+use fires_bench::{json_row, JsonOut, TextTable};
+use fires_core::{Fires, FiresConfig};
 use fires_netlist::{transform, Circuit, Fault, LineGraph};
 use fires_obs::{Json, RunReport};
 
@@ -41,9 +41,8 @@ fn analyze(
     name: &str,
     circuit: &Circuit,
     frames: usize,
-    threads: usize,
 ) -> Json {
-    let report = run_fires(circuit, FiresConfig::with_max_frames(frames), threads);
+    let report = Fires::new(circuit, FiresConfig::with_max_frames(frames)).run();
     let scan = transform::full_scan(circuit).expect("scan transform");
     let lines = LineGraph::build(circuit);
     let scan_lines = LineGraph::build(&scan);
@@ -93,8 +92,7 @@ fn analyze(
 }
 
 fn main() {
-    let (json, mut filter) = JsonOut::from_env();
-    let threads = Threads::extract(&mut filter).count();
+    let (json, filter) = JsonOut::from_env();
     println!("Scan-induced yield loss: redundant faults that full-scan rejects\n");
     let mut rr = RunReport::new("scan_yield", "suite");
     let mut rows = Vec::new();
@@ -111,7 +109,6 @@ fn main() {
         "figure3",
         &fires_circuits::figures::figure3(),
         15,
-        threads,
     ));
     rows.push(analyze(
         &mut t,
@@ -119,7 +116,6 @@ fn main() {
         "figure7",
         &fires_circuits::figures::figure7(),
         3,
-        threads,
     ));
     let defaults = ["s208_like", "s386_like", "s420_like", "s838_like"];
     for entry in fires_circuits::suite::table2_suite() {
@@ -135,7 +131,6 @@ fn main() {
                 entry.name,
                 &entry.circuit,
                 entry.frames,
-                threads,
             ));
         }
     }

@@ -215,14 +215,14 @@ impl TraceOut {
     }
 }
 
-/// The `--threads` worker-count option shared by every experiment
-/// binary.
+/// The `--threads` worker-count option of the table1–4 binaries, which
+/// run their FIRES stage as a `fires-jobs` campaign.
 ///
-/// `--threads N` (or `--threads=N`) runs FIRES on the in-process worker
-/// pool with `N` workers; `--threads auto` uses every available core.
-/// The default is 1 — the serial driver — so timings stay comparable
-/// with older runs unless parallelism is asked for. Results are
-/// identical either way (see
+/// `--threads N` (or `--threads=N`) gives the campaign runner `N`
+/// workers; `--threads auto` uses every available core. The default is
+/// 1 — the runner works serially on the calling thread — so timings stay
+/// comparable with older runs unless parallelism is asked for. Results
+/// are identical either way (see
 /// [`IdentifiedFault::wins_over`](fires_core::IdentifiedFault)).
 #[derive(Clone, Copy, Debug)]
 pub struct Threads {
@@ -265,7 +265,7 @@ impl Threads {
         Threads { count }
     }
 
-    /// The requested worker count (1 = serial driver).
+    /// The requested worker count (1 = serial on the calling thread).
     pub fn count(&self) -> usize {
         self.count
     }

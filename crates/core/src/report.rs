@@ -38,17 +38,18 @@ impl IdentifiedFault {
     /// This is a total order, so folding candidates with `wins_over` is
     /// associative and commutative — every grouping of the work (serial,
     /// any thread count, an interrupted-then-resumed campaign) merges to
-    /// the identical survivor. All merge sites (the serial driver, the
-    /// in-process worker pool, and the `fires-jobs` campaign merge) must
-    /// use this predicate.
+    /// the identical survivor. Every merge site (the per-stem fold, the
+    /// report assembly and the `fires-jobs` campaign merge) goes through
+    /// [`merge_candidate`], which applies this predicate.
     pub fn wins_over(&self, other: &IdentifiedFault) -> bool {
         (self.c, self.stem, self.frame) < (other.c, other.stem, other.frame)
     }
 }
 
 /// Folds `cand` into a per-fault best map using
-/// [`IdentifiedFault::wins_over`].
-pub(crate) fn merge_candidate(
+/// [`IdentifiedFault::wins_over`]: the one fault-fold rule every merge
+/// site (the core driver and the `fires-jobs` campaign merge) shares.
+pub fn merge_candidate(
     best: &mut std::collections::HashMap<Fault, IdentifiedFault>,
     cand: IdentifiedFault,
 ) {
@@ -151,18 +152,17 @@ impl<'c> FiresReport<'c> {
         self.max_frames_used
     }
 
-    /// Wall-clock time of the run. Always equals
-    /// [`phase_times`](Self::phase_times)`.total` — both come from the
-    /// same clock, so the headline time and the per-phase breakdown can
-    /// never disagree.
+    /// Compute time of the run: the per-stem totals summed plus the merge
+    /// (see [`Fires::assemble_report`](crate::Fires::assemble_report)).
+    /// Always equals [`phase_times`](Self::phase_times)`.total`, and never
+    /// less than the phases it breaks down.
     pub fn elapsed(&self) -> Duration {
         self.phase_times.total
     }
 
     /// Per-phase wall-clock breakdown of the run (implication,
-    /// unobservability, validation). With the `tracing` feature disabled
-    /// only the total is populated. In threaded runs the phases are
-    /// summed across workers and may exceed the wall-clock total.
+    /// unobservability, validation), summed over stems. With the `tracing`
+    /// feature disabled only the total is populated.
     pub fn phase_times(&self) -> &PhaseTimes {
         &self.phase_times
     }

@@ -3,14 +3,14 @@
 //! The merged report is a pure function of the *set* of unit records:
 //! independent of thread count, journal append order, and of whether the
 //! campaign ran in one process or was killed and resumed. That holds
-//! because per-fault candidates fold with the total order
-//! [`IdentifiedFault::wins_over`] and every list in the canonical form
-//! is sorted. [`CampaignReport::canonical_json`] excludes wall-clock
+//! because per-fault candidates fold with core's [`merge_candidate`]
+//! (the total order [`IdentifiedFault::wins_over`]) and every list in
+//! the canonical form is sorted. [`CampaignReport::canonical_json`] excludes wall-clock
 //! fields, so its bytes can be `diff`ed across runs.
 
 use std::collections::HashMap;
 
-use fires_core::{Fires, IdentifiedFault};
+use fires_core::{merge_candidate, Fires, IdentifiedFault};
 use fires_netlist::Fault;
 use fires_obs::{Json, RuleProfile, RunMetrics, RunReport};
 
@@ -162,13 +162,7 @@ pub fn merge(
                     report.marks += unit.marks;
                     report.max_frames_used = report.max_frames_used.max(unit.frames);
                     for cand in unit.identified(stems[unit.stem]) {
-                        best.entry(cand.fault)
-                            .and_modify(|e| {
-                                if cand.wins_over(e) {
-                                    *e = cand;
-                                }
-                            })
-                            .or_insert(cand);
+                        merge_candidate(&mut best, cand);
                     }
                 }
             }
@@ -312,23 +306,44 @@ mod tests {
         dir.join("job.jsonl")
     }
 
+    /// The campaign merge and the core driver agree on every `small`
+    /// suite circuit, validated or not, serial or threaded — the runner's
+    /// thread placement never reaches the fault list, and every stem is
+    /// run and counted exactly once.
     #[test]
     fn merged_report_matches_direct_run() {
-        let path = temp("direct");
-        let spec = CampaignSpec::from_circuits("t", ["s27"]);
-        run(&spec, &path, &RunnerConfig::default()).unwrap();
-        let contents = journal::read(&path).unwrap();
-        let tasks = spec.resolve().unwrap();
-        let merged = merge(&contents, &tasks, &build_engines(&tasks).unwrap());
-
-        // The same circuit run through the plain core driver.
-        let direct = Fires::try_new(&tasks[0].circuit, tasks[0].config)
-            .unwrap()
-            .run();
-        let mut direct_faults: Vec<_> = direct.redundant_faults().to_vec();
-        direct_faults.sort_unstable_by_key(|f| (f.fault.line, f.fault.stuck.as_bool()));
-        assert_eq!(merged.tasks[0].faults, direct_faults);
-        assert!(merged.tasks[0].clean());
+        for validate in [true, false] {
+            let mut spec = CampaignSpec::suite("small").unwrap();
+            for t in &mut spec.tasks {
+                t.validate = validate;
+            }
+            let tasks = spec.resolve().unwrap();
+            let engines = build_engines(&tasks).unwrap();
+            for threads in [1, 2] {
+                let path = temp(&format!("direct-{validate}-{threads}"));
+                let rc = RunnerConfig {
+                    threads,
+                    ..RunnerConfig::default()
+                };
+                run(&spec, &path, &rc).unwrap();
+                let merged = merge(&journal::read(&path).unwrap(), &tasks, &engines);
+                for (task, merged) in tasks.iter().zip(&merged.tasks) {
+                    let direct = Fires::try_new(&task.circuit, task.config).unwrap().run();
+                    let mut direct_faults = direct.redundant_faults().to_vec();
+                    direct_faults.sort_unstable_by_key(|f| (f.fault.line, f.fault.stuck.as_bool()));
+                    let label = format!("{} validate={validate} threads={threads}", task.name);
+                    assert_eq!(merged.faults, direct_faults, "{label}");
+                    assert!(merged.clean(), "{label}");
+                    assert_eq!(merged.units_total, direct.stems_processed(), "{label}");
+                    assert_eq!(merged.marks, direct.marks_created() as u64, "{label}");
+                    assert_eq!(
+                        merged.max_frames_used,
+                        direct.max_frames_used() as u64,
+                        "{label}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

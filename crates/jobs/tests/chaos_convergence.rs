@@ -5,6 +5,7 @@
 //! retry policy gives every unit a chance to eventually succeed.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use fires_jobs::{report, resume, run, CampaignSpec, ChaosPlan, RunnerConfig};
@@ -26,8 +27,11 @@ fn canonical_of(journal: &std::path::Path) -> String {
 }
 
 /// The fault-free baseline every chaos variant must reproduce.
+/// Tests call it concurrently, so each call gets its own journal.
 fn baseline() -> String {
-    let journal = temp_journal("baseline");
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let journal = temp_journal(&format!("baseline-{call}"));
     let summary = run(&spec(), &journal, &RunnerConfig::default()).unwrap();
     assert!(summary.complete());
     canonical_of(&journal)
