@@ -11,10 +11,10 @@
 use std::collections::HashMap;
 
 use fires_netlist::{graph, Circuit, GateKind, LineGraph, LineId, LineKind, NodeId};
+use fires_obs::{obs_event, ProfileRule, RuleProfile, RuleSteps};
 
 use crate::cancel::CancelToken;
 use crate::guard::{BudgetMeter, ExhaustionReason};
-use crate::instrument::{core_event, core_profile, RuleProfile, RuleSteps};
 use crate::window::{Frame, Window};
 use crate::FiresConfig;
 
@@ -37,7 +37,7 @@ pub const UNOBS_FOOTPRINT_BYTES: usize = 16;
 
 /// Always-on hot-path counters of one implication process. Plain integer
 /// bumps — cheap enough to keep unconditionally; the FIRES driver folds
-/// them into its run metrics when the `tracing` feature is on.
+/// them into its run metrics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// High-water mark of the uncontrollability work queue.
@@ -738,8 +738,7 @@ impl<'c> Implications<'c> {
         self.stats
     }
 
-    /// Per-rule hotspot attribution accumulated so far. With the
-    /// `tracing` feature off this is the no-op stub and always empty.
+    /// Per-rule hotspot attribution accumulated so far.
     pub fn profile(&self) -> RuleProfile {
         self.build_profile(self.profile)
     }
@@ -759,18 +758,14 @@ impl<'c> Implications<'c> {
     /// the indicator with its blame set), so the per-frame-offset and
     /// blame-set-size distributions fold out of those stores here, once
     /// per stem, instead of observation by observation inside the loop.
-    #[allow(unused_mut)]
     fn build_profile(&self, steps: RuleSteps) -> RuleProfile {
         let mut profile = RuleProfile::from(steps);
-        #[cfg(feature = "tracing")]
-        {
-            for &frame in &self.marks.frame {
-                profile.record_frame_offset(u64::from(frame.unsigned_abs()));
-            }
-            for (_, frame, blame) in self.unobs_iter() {
-                profile.record_frame_offset(u64::from(frame.unsigned_abs()));
-                profile.record_blame_size(blame.len() as u64);
-            }
+        for &frame in &self.marks.frame {
+            profile.record_frame_offset(u64::from(frame.unsigned_abs()));
+        }
+        for (_, frame, blame) in self.unobs_iter() {
+            profile.record_frame_offset(u64::from(frame.unsigned_abs()));
+            profile.record_blame_size(blame.len() as u64);
         }
         profile
     }
@@ -877,7 +872,7 @@ impl<'c> Implications<'c> {
         let queued = (self.queue.len() - self.qhead) + (self.uqueue.len() - self.uqhead);
         if let Some(reason) = self.meter.exceeded(queued, self.indicator_bytes) {
             self.exhausted = Some(reason);
-            core_event!("core.budget_exhausted", reason = reason.as_str());
+            obs_event!("core.budget_exhausted", reason = reason.as_str());
             return true;
         }
         self.meter.note_step();
@@ -897,7 +892,7 @@ impl<'c> Implications<'c> {
                 return None;
             }
             self.stats.window_extensions += 1;
-            core_event!(
+            obs_event!(
                 "core.frame_extended",
                 frame = frame as i64,
                 marks = self.marks.len()
@@ -976,13 +971,13 @@ impl<'c> Implications<'c> {
         // A net carries one value: stem and branches agree.
         for &b in line.branches() {
             dispatched = true;
-            core_profile!(self.profile, FwdBranchCopy);
+            self.profile.record(ProfileRule::FwdBranchCopy);
             self.add_mark(b, frame, unc, &[id], false);
         }
         match line.kind() {
             LineKind::Branch { node, .. } => {
                 dispatched = true;
-                core_profile!(self.profile, BwdBranchGather);
+                self.profile.record(ProfileRule::BwdBranchGather);
                 let stem = lines.stem_of(node);
                 self.add_mark(stem, frame, unc, &[id], false);
             }
@@ -990,7 +985,7 @@ impl<'c> Implications<'c> {
                 let kind = self.circuit.node(node).kind();
                 if kind == GateKind::Dff {
                     dispatched = true;
-                    core_profile!(self.profile, BwdDffShift);
+                    self.profile.record(ProfileRule::BwdDffShift);
                     // Q cannot be v at t  =>  D cannot be v at t-1.
                     let d = lines.in_line(node, 0);
                     self.add_mark(d, frame - 1, unc, &[id], false);
@@ -1005,7 +1000,7 @@ impl<'c> Implications<'c> {
             match self.circuit.node(sink).kind() {
                 GateKind::Dff => {
                     dispatched = true;
-                    core_profile!(self.profile, FwdDffShift);
+                    self.profile.record(ProfileRule::FwdDffShift);
                     // D cannot be v at t  =>  Q cannot be v at t+1.
                     let q = lines.stem_of(sink);
                     self.add_mark(q, frame + 1, unc, &[id], false);
@@ -1054,8 +1049,8 @@ impl<'c> Implications<'c> {
                 let c = kind.controlling_value().expect("controlling");
                 // Both rules scan the input list whether or not they fire,
                 // so each evaluation counts as one application.
-                core_profile!(self.profile, FwdAndBlockedInput);
-                core_profile!(self.profile, FwdAndAllBlocked);
+                self.profile.record(ProfileRule::FwdAndBlockedInput);
+                self.profile.record(ProfileRule::FwdAndAllBlocked);
                 // Core output cannot be the "all-noncontrolling" value nc'
                 // (1 for AND, 0 for OR) if some input cannot be nc.
                 if let Some(m) = ins
@@ -1082,7 +1077,7 @@ impl<'c> Implications<'c> {
                 }
             }
             GateKind::Not | GateKind::Buf => {
-                core_profile!(self.profile, FwdInvert);
+                self.profile.record(ProfileRule::FwdInvert);
                 for unc in [Unc::Zero, Unc::One] {
                     if let Some(m) = self.unc_mark(ins[0], frame, unc) {
                         let v = unc.value() ^ inv;
@@ -1091,7 +1086,7 @@ impl<'c> Implications<'c> {
                 }
             }
             GateKind::Xor | GateKind::Xnor => {
-                core_profile!(self.profile, FwdXorParity);
+                self.profile.record(ProfileRule::FwdXorParity);
                 // Achievable parity mask; the support set (every pinning
                 // mark seen) is shared by both banned output polarities.
                 let mut achievable: u8 = 0b01; // parity 0 achievable
@@ -1140,7 +1135,7 @@ impl<'c> Implications<'c> {
                 let c = kind.controlling_value().expect("controlling");
                 // Output cannot show the controlled value => no input may
                 // take the controlling value.
-                core_profile!(self.profile, BwdAndControlledValue);
+                self.profile.record(ProfileRule::BwdAndControlledValue);
                 if let Some(m) = self.unc_mark(out, frame, Unc::cannot_be(c ^ inv)) {
                     for &i in ins {
                         self.add_mark(i, frame, Unc::cannot_be(c), &[m], false);
@@ -1151,7 +1146,7 @@ impl<'c> Implications<'c> {
                 // noncontrolling either. Only counted when the quadratic
                 // sibling scan actually runs.
                 if let Some(m) = self.unc_mark(out, frame, Unc::cannot_be(!c ^ inv)) {
-                    core_profile!(self.profile, BwdAndSibling);
+                    self.profile.record(ProfileRule::BwdAndSibling);
                     for (k, &i) in ins.iter().enumerate() {
                         self.parent_buf.clear();
                         let mut pinned = true;
@@ -1175,7 +1170,7 @@ impl<'c> Implications<'c> {
                 }
             }
             GateKind::Not | GateKind::Buf => {
-                core_profile!(self.profile, BwdInvert);
+                self.profile.record(ProfileRule::BwdInvert);
                 for w in [false, true] {
                     if let Some(m) = self.unc_mark(out, frame, Unc::cannot_be(w)) {
                         self.add_mark(ins[0], frame, Unc::cannot_be(w ^ inv), &[m], false);
@@ -1183,7 +1178,7 @@ impl<'c> Implications<'c> {
                 }
             }
             GateKind::Xor | GateKind::Xnor => {
-                core_profile!(self.profile, BwdXorPinned);
+                self.profile.record(ProfileRule::BwdXorPinned);
                 for w_out in [false, true] {
                     let Some(m) = self.unc_mark(out, frame, Unc::cannot_be(w_out)) else {
                         continue;
@@ -1395,13 +1390,13 @@ impl<'c> Implications<'c> {
             LineKind::Branch { node, .. } => {
                 // Counted per attempt: scanning the sibling branches and
                 // the side condition is the work, whether or not it merges.
-                core_profile!(self.profile, UnobsStemMerge);
+                self.profile.record(ProfileRule::UnobsStemMerge);
                 self.try_stem_merge(node, frame, cache);
             }
             LineKind::Stem { node } => {
                 match self.circuit.node(node).kind() {
                     GateKind::Dff => {
-                        core_profile!(self.profile, UnobsDffShift);
+                        self.profile.record(ProfileRule::UnobsDffShift);
                         // Q unobservable at t => D unobservable at t-1.
                         let span = self.unobs_span(line_id, frame).expect("queued => stored");
                         let d = lines.in_line(node, 0);
@@ -1414,7 +1409,8 @@ impl<'c> Implications<'c> {
                         // blame vector once plus once per fanin.
                         let span = self.unobs_span(line_id, frame).expect("queued => stored");
                         let ins: &[LineId] = lines.in_lines(node);
-                        core_profile!(self.profile, UnobsGateInput, ins.len() as u64);
+                        self.profile
+                            .record_many(ProfileRule::UnobsGateInput, ins.len() as u64);
                         for &i in ins {
                             self.add_unobs_from_span(i, frame, span);
                         }

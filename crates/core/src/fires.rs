@@ -3,12 +3,12 @@
 use std::collections::HashMap;
 
 use fires_netlist::{Circuit, Fault, GateKind, LineGraph, LineId, StuckValue};
+use fires_obs::{obs_span, PhaseClock, PhaseTimes, RuleProfile, RunMetrics};
 
 use crate::cancel::CancelToken;
 use crate::engine::{DistCache, EngineScratch, Implications, IndicatorView, MarkId, Unc};
 use crate::error::CoreError;
 use crate::guard::{Budget, BudgetMeter, ExhaustionReason};
-use crate::instrument::{core_span, PhaseClock, PhaseTimes, RuleProfile, RunMetrics};
 use crate::report::{merge_candidate, FiresReport, IdentifiedFault, ProcessTrace};
 use crate::window::Frame;
 use crate::{FiresConfig, ValidationPolicy};
@@ -44,15 +44,7 @@ pub(crate) mod phase {
 /// not results: two runs of the same stem under the same budget produce
 /// identical outcomes, cache and scratch reuse included.
 ///
-/// Construct via [`StemCtx::new`] or, when setting fields, the builder:
-///
-/// ```
-/// use fires_core::{Budget, StemCtx};
-/// let ctx = StemCtx::builder()
-///     .budget(Budget::unlimited().with_max_steps(10_000))
-///     .build();
-/// assert_eq!(ctx.budget().max_steps, Some(10_000));
-/// ```
+/// Construct via [`StemCtx::new`] or [`StemCtx::with_budget`].
 #[derive(Default)]
 pub struct StemCtx {
     cache: DistCache,
@@ -67,15 +59,14 @@ impl StemCtx {
         StemCtx::default()
     }
 
-    /// Starts building a context field by field. Prefer this over
-    /// positional constructors: new fields (like the engine scratch) get
-    /// defaults without breaking existing call sites.
-    pub fn builder() -> StemCtxBuilder {
-        StemCtxBuilder::default()
-    }
-
     /// Creates an empty context that applies `budget` to every
     /// [`Fires::run_stem`] call made through it.
+    ///
+    /// ```
+    /// use fires_core::{Budget, StemCtx};
+    /// let ctx = StemCtx::with_budget(Budget::unlimited().with_max_steps(10_000));
+    /// assert_eq!(ctx.budget().max_steps, Some(10_000));
+    /// ```
     pub fn with_budget(budget: Budget) -> Self {
         StemCtx {
             budget,
@@ -83,46 +74,9 @@ impl StemCtx {
         }
     }
 
-    /// Replaces the per-stem budget.
-    pub fn set_budget(&mut self, budget: Budget) {
-        self.budget = budget;
-    }
-
     /// The budget applied to each stem run through this context.
     pub fn budget(&self) -> Budget {
         self.budget
-    }
-}
-
-/// Builder for [`StemCtx`]; see [`StemCtx::builder`].
-#[derive(Default)]
-pub struct StemCtxBuilder {
-    budget: Budget,
-    scratch: EngineScratch,
-}
-
-impl StemCtxBuilder {
-    /// Sets the [`Budget`] applied to every stem run (default: unlimited).
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Seeds the engine allocation pool, e.g. one reclaimed from another
-    /// context (default: empty — allocations grow on first use).
-    pub fn scratch(mut self, scratch: EngineScratch) -> Self {
-        self.scratch = scratch;
-        self
-    }
-
-    /// Finishes the context.
-    pub fn build(self) -> StemCtx {
-        StemCtx {
-            cache: DistCache::new(),
-            forced: ForcedCache::default(),
-            budget: self.budget,
-            scratch: self.scratch,
-        }
     }
 }
 
@@ -144,8 +98,7 @@ pub struct StemFindings {
     pub marks: usize,
     /// Frames spanned by the wider of the two processes.
     pub frames_used: usize,
-    /// Metrics recorded while processing this stem (a no-op stub without
-    /// the `tracing` feature).
+    /// Metrics recorded while processing this stem.
     pub metrics: RunMetrics,
     /// Per-phase wall-clock breakdown for this stem.
     pub phase_times: PhaseTimes,
@@ -159,7 +112,6 @@ pub struct StemFindings {
     /// Per-rule hotspot attribution for this stem. Step counts, frame
     /// offsets and blame sizes are deterministic; the apportioned nanos
     /// and distance-cache hit counts depend on timing and cache sharing.
-    /// Always empty without the `tracing` feature.
     pub profile: RuleProfile,
 }
 
@@ -466,7 +418,7 @@ impl<'c> Fires<'c> {
         ctx: &mut StemCtx,
         cancel: &CancelToken,
     ) -> Result<StemFindings, CoreError> {
-        let _span = core_span!("core.stem", stem = stem.index());
+        let _span = obs_span!("core.stem", stem = stem.index());
         let interrupted = || CoreError::Interrupted { stem };
         // Upfront check so a token that fired before this unit started
         // (e.g. an already-expired deadline) trips deterministically even
@@ -539,7 +491,7 @@ impl<'c> Fires<'c> {
         // dominate wall-clock, and these histograms are how they show up
         // in reports. The inputs are counted unconditionally on the hot
         // path (one integer add each); the observations happen once per
-        // stem and compile to no-ops when the `tracing` feature is off.
+        // stem.
         metrics.observe("core.stem_steps", meter.steps());
         metrics.observe(
             "core.stem_queued",
@@ -1046,11 +998,8 @@ mod tests {
         assert!(report.to_string().contains("FIRES"));
     }
 
-    /// Runs under both `cargo test` and `cargo test --no-default-features`:
-    /// the identified faults must not depend on whether instrumentation is
-    /// compiled in.
     #[test]
-    fn results_do_not_depend_on_instrumentation_feature() {
+    fn example2_has_c1_s_a_1_two_stems_and_nonzero_elapsed() {
         let circuit =
             bench::parse("INPUT(a)\nOUTPUT(d)\nOUTPUT(c)\nb = DFF(a)\nc = DFF(a)\nd = AND(b, c)\n")
                 .unwrap();
@@ -1060,11 +1009,9 @@ mod tests {
             .iter()
             .any(|n| n.contains("s-a-1") && n.contains("(c = 1)")));
         assert_eq!(report.stems_processed(), 2); // stems `a` and `c` fan out
-                                                 // elapsed() always works; it is the phase clock's total.
         assert!(report.elapsed() > std::time::Duration::ZERO);
     }
 
-    #[cfg(feature = "tracing")]
     #[test]
     fn metrics_agree_with_report_on_example2() {
         let circuit =
@@ -1127,7 +1074,6 @@ mod tests {
         assert_eq!(report.elapsed(), pt.total);
     }
 
-    #[cfg(feature = "tracing")]
     #[test]
     fn profile_attributes_steps_to_named_rules() {
         use fires_obs::ALL_RULES;
@@ -1187,7 +1133,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "tracing")]
     #[test]
     fn run_report_round_trips_through_json() {
         let circuit = bench::parse("INPUT(a)\nOUTPUT(z)\nn = NOT(a)\nz = AND(a, n)\n").unwrap();
@@ -1342,7 +1287,6 @@ mod tests {
 
     /// A real budget-exhausted stem counts once in the assembled report:
     /// `process_stem` records it, and the merge only sums.
-    #[cfg(feature = "tracing")]
     #[test]
     fn exhausted_stem_is_counted_once_in_the_report() {
         let circuit = bench::parse(

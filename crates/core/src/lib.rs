@@ -52,7 +52,6 @@ mod fire;
 mod fires;
 mod guard;
 mod hash;
-mod instrument;
 mod removal;
 mod report;
 mod window;
@@ -63,15 +62,13 @@ pub use engine::{
     DistCache, EngineScratch, EngineStats, Implications, IndicatorView, MarkId, MarkIds, MarkView,
     ProcessScratch, Unc, MARK_FOOTPRINT_BYTES, UNOBS_FOOTPRINT_BYTES,
 };
-pub use error::CoreError;
-// With the `tracing` feature these are the `fires-obs` types; without it,
-// no-op stubs with the same API (see `instrument.rs`).
 pub use envelope::{funtest_like, EnvelopeReport};
+pub use error::CoreError;
 pub use fire::{fire, FireReport};
-pub use fires::{Fires, StemCtx, StemCtxBuilder, StemFindings, StemOutcome};
+pub use fires::{Fires, StemCtx, StemFindings, StemOutcome};
+pub use fires_obs::{PhaseTimes, RuleProfile, RunMetrics};
 pub use guard::{Budget, ExhaustionReason};
 pub use hash::{content_hash, ContentHasher};
-pub use instrument::{PhaseTimes, RuleProfile, RunMetrics};
 pub use removal::{remove_fault, remove_redundancies, sweep_constants, RemovalOutcome};
 pub use report::{merge_candidate, FiresReport, IdentifiedFault, ProcessTrace};
 pub use window::{Frame, Window};

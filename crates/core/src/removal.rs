@@ -13,8 +13,8 @@
 //! silently raise the required `c`.
 
 use fires_netlist::{Circuit, Fault, GateKind, LineGraph, LineKind, NetlistError};
+use fires_obs::{obs_event, PhaseClock, PhaseTimes, RunMetrics};
 
-use crate::instrument::{core_event, PhaseClock, PhaseTimes, RunMetrics};
 use crate::report::IdentifiedFault;
 use crate::{Fires, FiresConfig};
 
@@ -34,10 +34,9 @@ pub struct RemovalOutcome {
     pub required_c: u32,
     /// Metrics aggregated over every inner FIRES pass, plus
     /// `removal.*` counters (iterations, faults removed, nodes swept).
-    /// A no-op stub without the `tracing` feature.
     pub metrics: RunMetrics,
     /// Wall-clock split between the `analysis` (FIRES passes) and
-    /// `rewrite` (tie-and-sweep) phases. Total-only without `tracing`.
+    /// `rewrite` (tie-and-sweep) phases.
     pub phase_times: PhaseTimes,
 }
 
@@ -350,7 +349,7 @@ pub fn remove_redundancies(
                 continue;
             }
             let name = cand.fault.display(report.lines(), &current);
-            core_event!(
+            obs_event!(
                 "removal.fault_removed",
                 iteration = iterations,
                 c = cand.c,

@@ -5,8 +5,8 @@ use std::fmt;
 use std::time::Duration;
 
 use fires_netlist::{Circuit, Fault, LineGraph, LineId};
+use fires_obs::{PhaseTimes, RunMetrics};
 
-use crate::instrument::{PhaseTimes, RunMetrics};
 use crate::window::Frame;
 
 /// One fault identified by FIRES.
@@ -161,14 +161,12 @@ impl<'c> FiresReport<'c> {
     }
 
     /// Per-phase wall-clock breakdown of the run (implication,
-    /// unobservability, validation), summed over stems. With the `tracing`
-    /// feature disabled only the total is populated.
+    /// unobservability, validation), summed over stems.
     pub fn phase_times(&self) -> &PhaseTimes {
         &self.phase_times
     }
 
     /// Metrics recorded during the run (counters, maxima, histograms).
-    /// Empty (a no-op stub) when the `tracing` feature is disabled.
     pub fn metrics(&self) -> &RunMetrics {
         &self.metrics
     }
@@ -176,7 +174,6 @@ impl<'c> FiresReport<'c> {
     /// Assembles a schema-versioned machine-readable run report: the run
     /// metrics and phase times plus headline results (fault counts, `c`
     /// histogram) under `extra`.
-    #[cfg(feature = "tracing")]
     pub fn run_report(&self, tool: &str, subject: &str) -> fires_obs::RunReport {
         let mut r = fires_obs::RunReport::new(tool, subject);
         r.set_phase_times(&self.phase_times);

@@ -163,9 +163,9 @@ pub struct UnitRecord {
     /// which keeps only the result-bearing fields.
     pub metrics: RunMetrics,
     /// Per-rule engine hotspot profile for this unit. `None` for units
-    /// run without the `tracing` feature and for journals written before
-    /// the profiler existed; observability only, excluded from the
-    /// canonical report.
+    /// that recorded no engine work, and for journals written before the
+    /// profiler existed or by the former untraced `fires-core` build;
+    /// observability only, excluded from the canonical report.
     pub profile: Option<RuleProfile>,
 }
 

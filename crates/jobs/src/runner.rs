@@ -415,7 +415,7 @@ fn execute(
                 task,
                 stem,
                 ctxs.entry(task)
-                    .or_insert_with(|| StemCtx::builder().budget(budgets[task]).build()),
+                    .or_insert_with(|| StemCtx::with_budget(budgets[task])),
                 budgets[task],
                 rc,
             );
@@ -584,7 +584,7 @@ fn run_unit(
             // The panic may have left the shared implication caches
             // mid-update; rebuild them (and drop the scratch pool)
             // before the next attempt.
-            *ctx = StemCtx::builder().budget(budget).build();
+            *ctx = StemCtx::with_budget(budget);
             events.push(EventRecord {
                 seq: 0,
                 task,
@@ -661,8 +661,8 @@ fn run_attempt(
                 StemOutcome::Exhausted { reason, .. } => (UnitStatus::Exhausted, Some(*reason)),
             };
             let findings = stem_outcome.into_findings();
-            // Untraced builds produce a permanently empty profile; skip
-            // the field entirely so their journals stay lean.
+            // A stem that recorded no engine work has an empty profile;
+            // skip the field entirely so the journal stays lean.
             let profile = (!findings.profile.is_empty()).then(|| findings.profile.clone());
             UnitRecord {
                 task,

@@ -2,23 +2,18 @@
 //! byte-identical canonical reports across thread counts and across
 //! kill-and-resume at *every* cut point, on generated-circuit campaigns.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
 use fires_jobs::{report, resume, run, CampaignSpec, Injection, RunnerConfig};
 use proptest::prelude::*;
 
-fn temp_journal(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fires-det-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join("job.jsonl")
-}
+mod common;
+use common::unique_temp_dir;
 
 /// Runs `spec` to completion in one go and returns the canonical report
 /// text.
 fn uninterrupted(spec: &CampaignSpec, name: &str, threads: usize) -> String {
-    let path = temp_journal(name);
+    let path = unique_temp_dir(name).join("job.jsonl");
     let summary = run(
         spec,
         &path,
@@ -51,7 +46,7 @@ fn kill_and_resume_matches_uninterrupted_at_every_cut() {
     // fragment after every cut — resume must repair it, and the final
     // journal must read back clean.
     for cut in 0..8 {
-        let path = temp_journal(&format!("cut-{cut}"));
+        let path = unique_temp_dir(&format!("cut-{cut}")).join("job.jsonl");
         let first = run(
             &spec,
             &path,
@@ -108,7 +103,7 @@ fn profile_fingerprint(report: &fires_jobs::CampaignReport) -> Vec<String> {
 #[test]
 fn kill_and_resume_preserves_the_merged_profile() {
     let spec = CampaignSpec::from_circuits("prof", ["s27", "fig3"]);
-    let base_path = temp_journal("prof-base");
+    let base_path = unique_temp_dir("prof-base").join("job.jsonl");
     run(&spec, &base_path, &RunnerConfig::default()).unwrap();
     let baseline = report(&base_path).unwrap();
     assert!(
@@ -123,7 +118,7 @@ fn kill_and_resume_preserves_the_merged_profile() {
     // thread count: the profiles merged out of the fragments must agree
     // with the uninterrupted run on every deterministic field.
     for cut in [1, 4] {
-        let path = temp_journal(&format!("prof-cut-{cut}"));
+        let path = unique_temp_dir(&format!("prof-cut-{cut}")).join("job.jsonl");
         run(
             &spec,
             &path,
@@ -174,7 +169,7 @@ fn failures_then_clean_rerun_still_deterministic() {
     };
     let texts: Vec<String> = (0..2)
         .map(|i| {
-            let path = temp_journal(&format!("faulty-{i}"));
+            let path = unique_temp_dir(&format!("faulty-{i}")).join("job.jsonl");
             let summary = run(&spec, &path, &rc).unwrap();
             assert!(summary.complete());
             assert_eq!(summary.panicked, 1);
@@ -203,7 +198,7 @@ proptest! {
     ) {
         let spec = CampaignSpec::from_circuits("prop", ["s27", "fig3"]);
         let baseline = uninterrupted(&spec, &format!("prop-base-{case}"), 1);
-        let path = temp_journal(&format!("prop-{case}-{cut}-{threads_before}-{threads_after}"));
+        let path = unique_temp_dir(&format!("prop-{case}-{cut}-{threads_before}-{threads_after}")).join("job.jsonl");
         run(
             &spec,
             &path,

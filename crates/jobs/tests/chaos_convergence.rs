@@ -4,19 +4,12 @@
 //! identical* canonical report of a fault-free run, as long as the
 //! retry policy gives every unit a chance to eventually succeed.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use fires_jobs::{report, resume, run, CampaignSpec, ChaosPlan, RunnerConfig};
 
-fn temp_journal(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fires-chaos-{}-{}", std::process::id(), tag));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("campaign.jsonl");
-    let _ = std::fs::remove_file(&path);
-    path
-}
+mod common;
+use common::unique_temp_dir;
 
 fn spec() -> CampaignSpec {
     CampaignSpec::from_circuits("chaos", ["fig3", "s27"])
@@ -29,9 +22,7 @@ fn canonical_of(journal: &std::path::Path) -> String {
 /// The fault-free baseline every chaos variant must reproduce.
 /// Tests call it concurrently, so each call gets its own journal.
 fn baseline() -> String {
-    static CALLS: AtomicUsize = AtomicUsize::new(0);
-    let call = CALLS.fetch_add(1, Ordering::Relaxed);
-    let journal = temp_journal(&format!("baseline-{call}"));
+    let journal = unique_temp_dir("baseline").join("campaign.jsonl");
     let summary = run(&spec(), &journal, &RunnerConfig::default()).unwrap();
     assert!(summary.complete());
     canonical_of(&journal)
@@ -40,7 +31,7 @@ fn baseline() -> String {
 #[test]
 fn chaos_run_converges_to_the_fault_free_report() {
     let baseline = baseline();
-    let journal = temp_journal("full");
+    let journal = unique_temp_dir("full").join("campaign.jsonl");
     let rc = RunnerConfig {
         threads: 2,
         retries: 8,
@@ -66,7 +57,7 @@ fn chaos_run_converges_to_the_fault_free_report() {
 #[test]
 fn killed_then_resumed_chaos_run_converges() {
     let baseline = baseline();
-    let journal = temp_journal("resumed");
+    let journal = unique_temp_dir("resumed").join("campaign.jsonl");
     let chaos = Some(
         ChaosPlan::new(0xF1FE)
             .with_unit_panics(300)
@@ -105,7 +96,7 @@ fn chaos_is_reproducible_run_to_run() {
     // (how many retries happened) is identical, not just the end report.
     let mut summaries = Vec::new();
     for tag in ["repro-a", "repro-b"] {
-        let journal = temp_journal(tag);
+        let journal = unique_temp_dir(tag).join("campaign.jsonl");
         let rc = RunnerConfig {
             retries: 8,
             backoff: Duration::from_millis(1),
@@ -122,7 +113,7 @@ fn chaos_is_reproducible_run_to_run() {
 fn unretried_chaos_panics_degrade_but_never_abort() {
     // No retries: injected panics become quarantined units, the campaign
     // still completes and the report carries the damage honestly.
-    let journal = temp_journal("quarantine");
+    let journal = unique_temp_dir("quarantine").join("campaign.jsonl");
     let rc = RunnerConfig {
         chaos: Some(ChaosPlan::new(7).with_unit_panics(500)),
         ..RunnerConfig::default()

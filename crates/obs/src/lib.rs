@@ -17,9 +17,8 @@
 //!   printer, used instead of serde because the build environment is
 //!   offline).
 //!
-//! `fires-core` pulls this crate in behind its `tracing` feature
-//! (default-on); with `--no-default-features` the core algorithm compiles
-//! without it and without any instrumentation overhead.
+//! `fires-core` calls this crate directly: it has one build, always
+//! instrumented.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,5 +46,5 @@ pub use series::{prom_name, render_prometheus, SeriesRegistry};
 pub use timer::{PhaseClock, PhaseTimes};
 pub use trace::{
     emit_event, set_subscriber, subscriber, tracing_enabled, CollectingSubscriber, FieldValue,
-    SpanGuard, StderrSubscriber, Subscriber, TraceRecord,
+    SpanGuard, Subscriber, TraceRecord,
 };

@@ -12,12 +12,8 @@ use std::time::{Duration, Instant};
 use fires_obs::Json;
 use fires_serve::{run_server, Connection, Request, Response, ServeConfig, SubmitRequest};
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fires-serve-{}-{}", std::process::id(), tag));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
+use common::unique_temp_dir;
 
 /// Starts a server on a fresh socket, waits until it accepts.
 fn start(cfg: ServeConfig) -> (PathBuf, JoinHandle<Result<(), String>>) {
@@ -88,7 +84,7 @@ fn extra(report: &Json, name: &str) -> u64 {
 
 #[test]
 fn repeat_submission_hits_the_cache_byte_identically() {
-    let dir = temp_dir("hit");
+    let dir = unique_temp_dir("hit");
     let cfg = ServeConfig::new(dir.join("sock"), dir.join("state"));
     let (socket, handle) = start(cfg);
 
@@ -140,7 +136,7 @@ fn repeat_submission_hits_the_cache_byte_identically() {
 
 #[test]
 fn eviction_falls_back_to_the_journal_tier() {
-    let dir = temp_dir("evict");
+    let dir = unique_temp_dir("evict");
     let mut cfg = ServeConfig::new(dir.join("sock"), dir.join("state"));
     cfg.cache_bytes = 1; // every report is over budget: always evicted
     let (socket, handle) = start(cfg);
@@ -175,7 +171,7 @@ fn eviction_falls_back_to_the_journal_tier() {
 
 #[test]
 fn concurrent_duplicates_build_the_engine_once() {
-    let dir = temp_dir("flight");
+    let dir = unique_temp_dir("flight");
     let mut cfg = ServeConfig::new(dir.join("sock"), dir.join("state"));
     cfg.workers = 2;
     // Hold the build long enough that both submissions overlap it.
@@ -210,7 +206,7 @@ fn concurrent_duplicates_build_the_engine_once() {
 
 #[test]
 fn admission_enforces_tenant_and_queue_limits() {
-    let dir = temp_dir("admit");
+    let dir = unique_temp_dir("admit");
     let mut cfg = ServeConfig::new(dir.join("sock"), dir.join("state"));
     cfg.workers = 1;
     cfg.tenant_active = 1;
@@ -285,7 +281,7 @@ fn admission_enforces_tenant_and_queue_limits() {
 
 #[test]
 fn tenant_step_caps_clamp_the_budget_and_the_key() {
-    let dir = temp_dir("caps");
+    let dir = unique_temp_dir("caps");
     let mut cfg = ServeConfig::new(dir.join("sock"), dir.join("state"));
     cfg.tenant_steps = vec![("capped".into(), 50)];
     let (socket, handle) = start(cfg);

@@ -6,19 +6,15 @@
 //! fault-free baseline.
 
 use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use fires_obs::Json;
 use fires_serve::{Connection, Request, Response, SubmitRequest};
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fires-soak-{}-{}", std::process::id(), tag));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
+use common::unique_temp_dir;
 
 fn fires() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fires"))
@@ -131,7 +127,7 @@ fn degraded_total(report: &Json) -> u64 {
 #[test]
 fn chaos_soak_drains_on_sigterm_and_resumes_byte_identically() {
     // Leg 1: fault-free baseline bytes.
-    let base = temp_dir("baseline");
+    let base = unique_temp_dir("baseline");
     let base_socket = base.join("sock");
     let child = spawn_plain_server(&base_socket, &base.join("state"));
     wait_for_socket(&base_socket);
@@ -142,7 +138,7 @@ fn chaos_soak_drains_on_sigterm_and_resumes_byte_identically() {
     // generous reconnect budget (dropped accepts and injected
     // read/write faults cost one attempt each; any received response
     // refills the budget).
-    let dir = temp_dir("fire");
+    let dir = unique_temp_dir("fire");
     let socket = dir.join("sock");
     let state = dir.join("state");
     let out_path = dir.join("report.json");

@@ -13,12 +13,8 @@ use fires_jobs::ChaosPlan;
 use fires_obs::Json;
 use fires_serve::{run_server, Connection, Request, Response, ServeConfig, SubmitRequest};
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fires-drain-{}-{}", std::process::id(), tag));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
+use common::unique_temp_dir;
 
 fn start(cfg: ServeConfig) -> (PathBuf, JoinHandle<Result<(), String>>) {
     let socket = cfg.socket.clone();
@@ -82,7 +78,7 @@ fn submit_and_finish(socket: &Path, req: SubmitRequest) -> Response {
 
 #[test]
 fn drain_rejects_new_work_with_a_typed_response() {
-    let dir = temp_dir("reject");
+    let dir = unique_temp_dir("reject");
     let cfg = ServeConfig::new(dir.join("sock"), dir.join("state"));
     let (socket, handle) = start(cfg);
 
@@ -119,7 +115,7 @@ fn drain_rejects_new_work_with_a_typed_response() {
 #[test]
 fn drain_flushes_subscribers_and_resumes_byte_identically() {
     // Baseline bytes from an undisturbed server.
-    let base = temp_dir("flush-base");
+    let base = unique_temp_dir("flush-base");
     let cfg = ServeConfig::new(base.join("sock"), base.join("state"));
     let (socket, handle) = start(cfg);
     let Response::Done {
@@ -132,7 +128,7 @@ fn drain_flushes_subscribers_and_resumes_byte_identically() {
 
     // Slow server: per-unit chaos delays stretch the campaign so the
     // drain lands mid-flight.
-    let dir = temp_dir("flush");
+    let dir = unique_temp_dir("flush");
     let mut cfg = ServeConfig::new(dir.join("sock"), dir.join("state"));
     cfg.workers = 1;
     cfg.runner.chaos = Some(ChaosPlan::new(7).with_delays(1000, 15));
@@ -194,7 +190,7 @@ fn drain_flushes_subscribers_and_resumes_byte_identically() {
 
 #[test]
 fn health_and_ready_verbs_report_liveness() {
-    let dir = temp_dir("health");
+    let dir = unique_temp_dir("health");
     let mut cfg = ServeConfig::new(dir.join("sock"), dir.join("state"));
     cfg.heartbeat_interval = Duration::from_millis(50);
     let (socket, handle) = start(cfg);
@@ -245,7 +241,7 @@ fn health_and_ready_verbs_report_liveness() {
 
 #[test]
 fn oversized_request_lines_get_a_typed_error() {
-    let dir = temp_dir("line");
+    let dir = unique_temp_dir("line");
     let mut cfg = ServeConfig::new(dir.join("sock"), dir.join("state"));
     cfg.max_line_bytes = 1024;
     let (socket, handle) = start(cfg);
@@ -275,7 +271,7 @@ fn oversized_request_lines_get_a_typed_error() {
 
 #[test]
 fn drain_timeout_dumps_the_flight_recorder() {
-    let dir = temp_dir("timeout");
+    let dir = unique_temp_dir("timeout");
     let state = dir.join("state");
     let mut cfg = ServeConfig::new(dir.join("sock"), state.clone());
     cfg.workers = 1;
@@ -346,7 +342,7 @@ fn drain_timeout_dumps_the_flight_recorder() {
 
 #[test]
 fn recovery_scan_quarantines_unreadable_journals() {
-    let dir = temp_dir("quarantine");
+    let dir = unique_temp_dir("quarantine");
     let state = dir.join("state");
     let jobs = state.join("jobs");
     std::fs::create_dir_all(&jobs).unwrap();

@@ -5,18 +5,14 @@
 //! `serve` flag surface and the startup recovery scan are covered too.
 
 use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use fires_serve::{Connection, Request, Response, SubmitRequest};
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fires-skr-{}-{}", std::process::id(), tag));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
+use common::unique_temp_dir;
 
 /// Spawns `fires serve` with injected per-unit delays, so a kill
 /// reliably lands mid-campaign (delays slow units without changing
@@ -83,7 +79,7 @@ fn shutdown(socket: &Path, mut child: Child) {
 #[test]
 fn sigkill_mid_campaign_resumes_to_identical_bytes() {
     // Uninterrupted baseline on its own state dir.
-    let base = temp_dir("baseline");
+    let base = unique_temp_dir("baseline");
     let base_socket = base.join("sock");
     let child = spawn_server(&base_socket, &base.join("state"));
     wait_for_socket(&base_socket);
@@ -91,7 +87,7 @@ fn sigkill_mid_campaign_resumes_to_identical_bytes() {
     shutdown(&base_socket, child);
 
     // Same campaign on a fresh server, killed mid-flight.
-    let dir = temp_dir("killed");
+    let dir = unique_temp_dir("killed");
     let socket = dir.join("sock");
     let state = dir.join("state");
     let mut child = spawn_server(&socket, &state);

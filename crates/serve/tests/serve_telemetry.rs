@@ -14,12 +14,8 @@ use std::time::{Duration, Instant};
 use fires_obs::Json;
 use fires_serve::{run_server, Connection, Request, Response, ServeConfig, SubmitRequest};
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fires-telem-{}-{}", std::process::id(), tag));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
+use common::unique_temp_dir;
 
 fn start(cfg: ServeConfig) -> (PathBuf, JoinHandle<Result<(), String>>) {
     let socket = cfg.socket.clone();
@@ -93,7 +89,7 @@ fn phases(doc: &Json) -> Vec<(String, String)> {
 
 #[test]
 fn metrics_verb_renders_prometheus_with_labeled_series() {
-    let dir = temp_dir("metrics");
+    let dir = unique_temp_dir("metrics");
     let mut cfg = ServeConfig::new(dir.join("sock"), dir.join("state"));
     // Fast watchdog so the snapshot file appears within the test.
     cfg.heartbeat_interval = Duration::from_millis(50);
@@ -145,7 +141,7 @@ fn metrics_verb_renders_prometheus_with_labeled_series() {
 
 #[test]
 fn submissions_write_connected_trace_lanes_and_cache_hits_short_circuit() {
-    let dir = temp_dir("traces");
+    let dir = unique_temp_dir("traces");
     let state = dir.join("state");
     let cfg = ServeConfig::new(dir.join("sock"), state.clone());
     let (socket, handle) = start(cfg);
@@ -226,7 +222,7 @@ fn submissions_write_connected_trace_lanes_and_cache_hits_short_circuit() {
 
 #[test]
 fn debug_dump_replays_the_flight_ring_in_seq_order() {
-    let dir = temp_dir("flight");
+    let dir = unique_temp_dir("flight");
     let cfg = ServeConfig::new(dir.join("sock"), dir.join("state"));
     let (socket, handle) = start(cfg);
 
@@ -281,7 +277,7 @@ fn debug_dump_replays_the_flight_ring_in_seq_order() {
 
 #[test]
 fn flight_ring_is_bounded_by_capacity() {
-    let dir = temp_dir("ring");
+    let dir = unique_temp_dir("ring");
     let mut cfg = ServeConfig::new(dir.join("sock"), dir.join("state"));
     cfg.flight_capacity = 4;
     let (socket, handle) = start(cfg);

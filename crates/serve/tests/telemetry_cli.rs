@@ -4,19 +4,14 @@
 //! (`CARGO_BIN_EXE_fires`), not library shims, so flag parsing and exit
 //! codes are covered too.
 
-use std::path::PathBuf;
 use std::process::Command;
 use std::time::Duration;
 
 use fires_jobs::{journal, resume, run, CampaignSpec, JournalSummary, RunnerConfig};
 use fires_obs::RunReport;
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fires-telemetry-{}-{}", std::process::id(), tag));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
+use common::unique_temp_dir;
 
 fn fires() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fires"))
@@ -24,7 +19,7 @@ fn fires() -> Command {
 
 #[test]
 fn watch_follows_a_killed_and_resumed_journal() {
-    let dir = temp_dir("watch");
+    let dir = unique_temp_dir("watch");
     let journal_path = dir.join("campaign.jsonl");
     let spec = CampaignSpec::from_circuits("watchme", ["s27", "fig3"]);
 
@@ -122,7 +117,7 @@ fn watch_follows_a_killed_and_resumed_journal() {
 
 #[test]
 fn profile_cli_reads_journals_and_reports() {
-    let dir = temp_dir("profile");
+    let dir = unique_temp_dir("profile");
     let journal_path = dir.join("campaign.jsonl");
     let spec = CampaignSpec::from_circuits("hotspots", ["s27"]);
     run(&spec, &journal_path, &RunnerConfig::default()).unwrap();
@@ -187,7 +182,7 @@ fn profile_cli_reads_journals_and_reports() {
 
 #[test]
 fn compare_cli_gates_on_a_doctored_regression() {
-    let dir = temp_dir("compare");
+    let dir = unique_temp_dir("compare");
     let baseline_path = dir.join("baseline.json");
     let candidate_path = dir.join("candidate.json");
     let doctored_path = dir.join("doctored.json");

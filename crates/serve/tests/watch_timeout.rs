@@ -2,18 +2,13 @@
 //! never completes (or never appears) must exit on its own instead of
 //! hanging a CI job or a detached terminal forever.
 
-use std::path::PathBuf;
 use std::process::Command;
 use std::time::{Duration, Instant};
 
 use fires_jobs::{run, CampaignSpec, RunnerConfig};
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fires-wt-{}-{}", std::process::id(), tag));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+mod common;
+use common::unique_temp_dir;
 
 fn fires() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fires"))
@@ -21,7 +16,7 @@ fn fires() -> Command {
 
 #[test]
 fn watch_times_out_on_a_journal_that_never_appears() {
-    let dir = temp_dir("missing");
+    let dir = unique_temp_dir("missing");
     let started = Instant::now();
     let out = fires()
         .args(["watch", "--timeout-secs", "1", "--interval-ms", "50"])
@@ -42,7 +37,7 @@ fn watch_times_out_on_a_journal_that_never_appears() {
 
 #[test]
 fn watch_times_out_on_a_stalled_incomplete_journal() {
-    let dir = temp_dir("stalled");
+    let dir = unique_temp_dir("stalled");
     let journal = dir.join("campaign.jsonl");
     // Two units of a larger campaign, then the writer stops forever.
     let rc = RunnerConfig {
@@ -67,7 +62,7 @@ fn watch_times_out_on_a_stalled_incomplete_journal() {
 
 #[test]
 fn heartbeats_reset_the_stall_deadline() {
-    let dir = temp_dir("heartbeat");
+    let dir = unique_temp_dir("heartbeat");
     let journal = dir.join("campaign.jsonl");
     // Same stalled shape as above: incomplete, writer gone.
     let rc = RunnerConfig {
@@ -114,7 +109,7 @@ fn heartbeats_reset_the_stall_deadline() {
 
 #[test]
 fn watch_still_exits_zero_when_the_campaign_completes_in_time() {
-    let dir = temp_dir("completes");
+    let dir = unique_temp_dir("completes");
     let journal = dir.join("campaign.jsonl");
     run(
         &CampaignSpec::from_circuits("done", ["fig3"]),
