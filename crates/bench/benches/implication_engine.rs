@@ -73,7 +73,7 @@ fn frame_budget_scaling(c: &mut Criterion) {
 }
 
 fn simulators(c: &mut Criterion) {
-    use fires_sim::{random_vectors, EventSim, SeqSim};
+    use fires_sim::{random_vectors, SeqSim};
     let entry = fires_circuits::suite::by_name("s1423_like").expect("suite circuit");
     let lines = LineGraph::build(&entry.circuit);
     let vectors = random_vectors(&entry.circuit, 256, 3);
@@ -81,15 +81,6 @@ fn simulators(c: &mut Criterion) {
     group.bench_function("oblivious", |b| {
         b.iter(|| {
             let mut sim = SeqSim::new(&entry.circuit, &lines);
-            vectors
-                .iter()
-                .map(|v| sim.step(v, None).len())
-                .sum::<usize>()
-        })
-    });
-    group.bench_function("event_driven", |b| {
-        b.iter(|| {
-            let mut sim = EventSim::new(&entry.circuit, &lines);
             vectors
                 .iter()
                 .map(|v| sim.step(v, None).len())

@@ -5,7 +5,7 @@
 //! Run with `cargo run --release -p fires-bench --bin removal_sweep
 //! [circuit-names...] [--max-iters N]`.
 
-use fires_bench::{json_row, JsonOut, TextTable};
+use fires_bench::{extract_flag, json_row, parse_or_die, JsonOut, TextTable};
 use fires_core::{remove_redundancies, FiresConfig};
 use fires_obs::{Json, RunReport};
 
@@ -13,13 +13,8 @@ fn main() {
     let (json, mut filter) = JsonOut::from_env();
     let mut rr = RunReport::new("removal_sweep", "suite");
     let mut rows = Vec::new();
-    let mut max_iters = 60usize;
-    if let Some(pos) = filter.iter().position(|a| a == "--max-iters") {
-        if let Some(n) = filter.get(pos + 1).and_then(|s| s.parse().ok()) {
-            max_iters = n;
-        }
-        filter.drain(pos..(pos + 2).min(filter.len()));
-    }
+    let max_iters: usize =
+        extract_flag(&mut filter, "--max-iters").map_or(60, |v| parse_or_die(&v, "--max-iters"));
     let defaults = [
         "s208_like",
         "s386_like",

@@ -45,8 +45,7 @@ pub struct CampaignTuning {
 
 impl CampaignTuning {
     /// Removes `--step-budget N` and `--retries N` flags from `args`,
-    /// leaving positional arguments in place (same idiom as
-    /// [`Threads::extract`]).
+    /// leaving positional arguments in place.
     pub fn extract(args: &mut Vec<String>) -> CampaignTuning {
         let step_budget =
             extract_flag(args, "--step-budget").map(|v| parse_or_die(&v, "--step-budget"));
@@ -58,7 +57,10 @@ impl CampaignTuning {
     }
 }
 
-fn extract_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
+/// Removes every `flag <value>` / `flag=<value>` occurrence from `args`,
+/// leaving positional arguments in place, and returns the last value.
+/// A trailing `flag` with no value exits with status 2.
+pub fn extract_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
     let prefix = format!("{flag}=");
     let mut value = None;
     let mut i = 0;
@@ -81,7 +83,9 @@ fn extract_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
     value
 }
 
-fn parse_or_die<T: std::str::FromStr>(value: &str, flag: &str) -> T {
+/// Parses the value of a numeric `flag`, exiting with status 2 when it
+/// does not parse.
+pub fn parse_or_die<T: std::str::FromStr>(value: &str, flag: &str) -> T {
     value.parse().unwrap_or_else(|_| {
         eprintln!("error: {flag} expects a number, got {value:?}");
         std::process::exit(2);

@@ -639,15 +639,9 @@ impl<'c> Implications<'c> {
     /// an internal distance cache.
     pub fn propagate(&mut self) {
         let mut cache = std::mem::take(&mut self.local_cache);
-        self.propagate_with_cache(&mut cache);
-        self.local_cache = cache;
-    }
-
-    /// Like [`propagate`](Self::propagate) but sharing a distance cache
-    /// across processes (used by the FIRES driver).
-    pub fn propagate_with_cache(&mut self, cache: &mut DistCache) {
         self.run_uncontrollability();
-        self.run_unobservability(cache);
+        self.run_unobservability(&mut cache);
+        self.local_cache = cache;
     }
 
     /// Iterates over all unobservability indicators, frame-major with

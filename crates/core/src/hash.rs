@@ -36,7 +36,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// An order-sensitive 64-bit content hasher over words.
 ///
 /// Each written word is combined with the running state and the state is
-/// re-mixed through [`splitmix64`], so `write(a); write(b)` and
+/// re-mixed through `splitmix64`, so `write(a); write(b)` and
 /// `write(b); write(a)` produce different hashes and a zero word still
 /// advances the state (absent and zero-valued optional fields stay
 /// distinguishable through the domain tags callers write).

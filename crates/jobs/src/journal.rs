@@ -19,9 +19,9 @@
 //!
 //! Units are journaled as **indices** into the task's canonical stem
 //! order ([`Fires::stems`](fires_core::Fires::stems)); fault lines are
-//! raw [`LineId`](fires_netlist::LineId) indices. Both are stable across
-//! processes for a structurally identical circuit, which the header
-//! hashes verify on resume.
+//! raw [`LineId`] indices. Both are stable across processes for a
+//! structurally identical circuit, which the header hashes verify on
+//! resume.
 //!
 //! Every append is flushed before the runner considers the unit done, so
 //! a crash loses at most the unit being written. A torn final line (the

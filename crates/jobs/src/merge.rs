@@ -63,7 +63,7 @@ pub struct TaskReport {
     /// of the canonical form).
     pub metrics: RunMetrics,
     /// Per-rule engine hotspot profile merged across units that carried
-    /// one; `None` when no unit did (untraced runs, old journals).
+    /// one; `None` when no unit did (failed units, old journals).
     /// Observability only; not part of the canonical form.
     pub profile: Option<RuleProfile>,
 }

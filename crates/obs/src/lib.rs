@@ -42,7 +42,7 @@ pub use json::Json;
 pub use metrics::{Histogram, RunMetrics};
 pub use profile::{ProfileRule, RuleProfile, RuleSteps, StepDist, ALL_RULES};
 pub use report::{RunReport, SCHEMA_VERSION};
-pub use series::{prom_name, render_prometheus, SeriesRegistry};
+pub use series::{prom_name, render_prometheus, series};
 pub use timer::{PhaseClock, PhaseTimes};
 pub use trace::{
     emit_event, set_subscriber, subscriber, tracing_enabled, CollectingSubscriber, FieldValue,

@@ -24,7 +24,6 @@
 //! experiment-specific tables that do not need a cross-run schema.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use crate::json::{Json, JsonError};
 use crate::metrics::RunMetrics;
@@ -89,12 +88,6 @@ impl RunReport {
             .iter()
             .map(|(n, d)| (n.clone(), d.as_secs_f64()))
             .collect();
-        self
-    }
-
-    /// Sets the total from a raw duration (when no phase split exists).
-    pub fn set_total(&mut self, total: Duration) -> &mut Self {
-        self.total_seconds = total.as_secs_f64();
         self
     }
 

@@ -7,21 +7,20 @@
 //! form, so canonical outputs stay byte-identical whether or not
 //! anything ever scrapes the daemon.
 //!
-//! Two sources feed one exposition document:
+//! One registry feeds the document: counters render as `counter`,
+//! maxima as `gauge`, histograms as `summary` (quantiles plus
+//! `_sum`/`_count`, the closest native Prometheus shape for a
+//! pre-aggregated log₂ histogram). A *labeled* series (`tenant`, `job`)
+//! is an ordinary entry whose name is its exposition identity, built by
+//! [`series`]: `serve.tenant.submissions{tenant="acme"}`. Per-tenant and
+//! per-job attribution is then a PromQL `sum by (tenant)` away; the
+//! daemon keeps such entries in a registry of their own so the one that
+//! rides inside canonical reports never grows label-dependent names.
 //!
-//! * the flat [`RunMetrics`] registry — counters render as `counter`,
-//!   maxima as `gauge`, histograms as `summary` (quantiles plus
-//!   `_sum`/`_count`, the closest native Prometheus shape for a
-//!   pre-aggregated log₂ histogram);
-//! * a [`SeriesRegistry`] of *labeled* series — the same three kinds
-//!   keyed additionally by label pairs (`tenant`, `job`), so per-tenant
-//!   and per-job attribution is a PromQL `sum by (tenant)` away.
-//!
-//! Rendering is deterministic: metric names in lexicographic order,
-//! label sets in lexicographic order within a name, label keys sorted
+//! Rendering is deterministic: within each kind, entries in name order,
+//! so the label sets of one name sit together; label keys are sorted
 //! within a set. Two scrapes of the same state are byte-identical.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::metrics::{Histogram, RunMetrics};
@@ -57,93 +56,27 @@ fn escape_label(v: &str) -> String {
     out
 }
 
-/// Renders a sorted label set as `{k="v",...}` (empty string when no
-/// labels). `extra` appends one more pair (used for `quantile`).
-fn label_block(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
-    if labels.is_empty() && extra.is_none() {
-        return String::new();
+/// The registry name of a labeled series: `name{k="v",...}` with keys
+/// sorted and mangled and values escaped, ready for
+/// [`render_prometheus`]. With no labels it is just `name`.
+pub fn series(name: &str, labels: &[(&str, &str)]) -> String {
+    if labels.is_empty() {
+        return name.to_string();
     }
-    let mut parts: Vec<String> = labels
+    let mut pairs = labels.to_vec();
+    pairs.sort_unstable();
+    let parts: Vec<String> = pairs
         .iter()
         .map(|(k, v)| format!("{}=\"{}\"", prom_name(k), escape_label(v)))
         .collect();
-    if let Some((k, v)) = extra {
-        parts.push(format!("{k}=\"{}\"", escape_label(v)));
-    }
-    format!("{{{}}}", parts.join(","))
+    format!("{name}{{{}}}", parts.join(","))
 }
 
-/// A labeled series key: metric name plus sorted label pairs.
-///
-/// Ordered (name first, then label sets), so a `BTreeMap` keyed by it
-/// iterates grouped by metric name — exactly the order the exposition
-/// format wants (`# TYPE` once per name, then every label set).
-type SeriesKey = (String, Vec<(String, String)>);
-
-fn series_key(name: &str, labels: &[(&str, &str)]) -> SeriesKey {
-    let mut pairs: Vec<(String, String)> = labels
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    pairs.sort();
-    (name.to_string(), pairs)
-}
-
-/// A registry of labeled time series (counters, gauges, histograms).
-///
-/// The labeled twin of [`RunMetrics`]: where the flat registry answers
-/// "how many cache hits", this one answers "how many cache hits *for
-/// tenant X*" and "how long did *job Y* wait in the queue". Kept
-/// separate so the flat registry — which rides inside canonical
-/// reports — never grows label-dependent entries.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SeriesRegistry {
-    counters: BTreeMap<SeriesKey, u64>,
-    gauges: BTreeMap<SeriesKey, u64>,
-    histograms: BTreeMap<SeriesKey, Histogram>,
-}
-
-impl SeriesRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        SeriesRegistry::default()
-    }
-
-    /// Adds `by` to counter `name` with `labels` (creating it at 0).
-    pub fn incr(&mut self, name: &str, labels: &[(&str, &str)], by: u64) {
-        *self.counters.entry(series_key(name, labels)).or_insert(0) += by;
-    }
-
-    /// Sets gauge `name` with `labels` to `v` (last write wins).
-    pub fn set(&mut self, name: &str, labels: &[(&str, &str)], v: u64) {
-        self.gauges.insert(series_key(name, labels), v);
-    }
-
-    /// Records `v` into histogram `name` with `labels`.
-    pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: u64) {
-        self.histograms
-            .entry(series_key(name, labels))
-            .or_default()
-            .observe(v);
-    }
-
-    /// The value of counter `name` with `labels` (0 when absent).
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        self.counters
-            .get(&series_key(name, labels))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Number of distinct labeled series of all kinds.
-    pub fn len(&self) -> usize {
-        self.counters.len() + self.gauges.len() + self.histograms.len()
-    }
-
-    /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+/// Splits a registry name at its first `{` into the mangled metric name
+/// and the label block (`""` when unlabeled).
+fn split_name(name: &str) -> (String, &str) {
+    let (base, labels) = name.split_at(name.find('{').unwrap_or(name.len()));
+    (prom_name(base), labels)
 }
 
 /// Appends `# TYPE` once per metric name as the iteration crosses into
@@ -156,53 +89,40 @@ fn type_line(out: &mut String, last: &mut String, name: &str, kind: &str) {
     }
 }
 
-fn render_summary(out: &mut String, name: &str, labels: &[(String, String)], h: &Histogram) {
+fn render_summary(out: &mut String, name: &str, labels: &str, h: &Histogram) {
+    // Inside an existing block `quantile` joins the other pairs.
+    let open = match labels.strip_suffix('}') {
+        Some(inner) => format!("{inner},"),
+        None => "{".to_string(),
+    };
     for (q, v) in [("0.5", h.p50()), ("0.95", h.p95()), ("0.99", h.p99())] {
-        let block = label_block(labels, Some(("quantile", q)));
-        let _ = writeln!(out, "{name}{block} {v}");
+        let _ = writeln!(out, "{name}{open}quantile=\"{q}\"}} {v}");
     }
-    let block = label_block(labels, None);
-    let _ = writeln!(out, "{name}_sum{block} {}", h.sum());
-    let _ = writeln!(out, "{name}_count{block} {}", h.count());
+    let _ = writeln!(out, "{name}_sum{labels} {}", h.sum());
+    let _ = writeln!(out, "{name}_count{labels} {}", h.count());
 }
 
-/// Renders the flat registry plus the labeled registry as one
-/// Prometheus text exposition document (version 0.0.4).
+/// Renders a registry as one Prometheus text exposition document
+/// (version 0.0.4).
 ///
-/// Flat metrics render first (no labels), then labeled series; within
-/// each section counters, then gauges, then summaries, each in name
-/// order. The output is a pure function of the inputs — no timestamps
-/// — so snapshot files diff cleanly between beats.
-pub fn render_prometheus(flat: &RunMetrics, series: &SeriesRegistry) -> String {
+/// Counters, then gauges, then summaries, each in name order. The
+/// output is a pure function of the input — no timestamps — so
+/// snapshot files diff cleanly between beats.
+pub fn render_prometheus(m: &RunMetrics) -> String {
     let mut out = String::new();
     let mut last = String::new();
-    for (name, v) in flat.counters() {
-        let name = prom_name(name);
+    for (name, v) in m.counters() {
+        let (name, labels) = split_name(name);
         type_line(&mut out, &mut last, &name, "counter");
-        let _ = writeln!(out, "{name} {v}");
+        let _ = writeln!(out, "{name}{labels} {v}");
     }
-    for (name, v) in flat.maxima() {
-        let name = prom_name(name);
+    for (name, v) in m.maxima() {
+        let (name, labels) = split_name(name);
         type_line(&mut out, &mut last, &name, "gauge");
-        let _ = writeln!(out, "{name} {v}");
+        let _ = writeln!(out, "{name}{labels} {v}");
     }
-    for (name, h) in flat.histograms() {
-        let name = prom_name(name);
-        type_line(&mut out, &mut last, &name, "summary");
-        render_summary(&mut out, &name, &[], h);
-    }
-    for ((name, labels), v) in &series.counters {
-        let name = prom_name(name);
-        type_line(&mut out, &mut last, &name, "counter");
-        let _ = writeln!(out, "{name}{} {v}", label_block(labels, None));
-    }
-    for ((name, labels), v) in &series.gauges {
-        let name = prom_name(name);
-        type_line(&mut out, &mut last, &name, "gauge");
-        let _ = writeln!(out, "{name}{} {v}", label_block(labels, None));
-    }
-    for ((name, labels), h) in &series.histograms {
-        let name = prom_name(name);
+    for (name, h) in m.histograms() {
+        let (name, labels) = split_name(name);
         type_line(&mut out, &mut last, &name, "summary");
         render_summary(&mut out, &name, labels, h);
     }
@@ -232,7 +152,7 @@ mod tests {
         for v in [1, 2, 3] {
             m.observe("serve.wait_ms", v);
         }
-        let text = render_prometheus(&m, &SeriesRegistry::new());
+        let text = render_prometheus(&m);
         assert!(text.contains("# TYPE serve_submissions counter\nserve_submissions 3\n"));
         assert!(text.contains("# TYPE serve_queue_depth gauge\nserve_queue_depth 2\n"));
         assert!(text.contains("# TYPE serve_wait_ms summary\n"));
@@ -243,16 +163,24 @@ mod tests {
 
     #[test]
     fn labeled_series_render_sorted_label_blocks() {
-        let mut s = SeriesRegistry::new();
+        let mut m = RunMetrics::new();
         // Insert with unsorted label order; the block must sort keys.
-        s.incr("serve.tenant.submissions", &[("tenant", "acme")], 2);
-        s.observe(
-            "serve.job.wall_ms",
-            &[("tenant", "acme"), ("job", "00000000deadbeef")],
+        m.incr(
+            &series("serve.tenant.submissions", &[("tenant", "acme")]),
+            2,
+        );
+        m.observe(
+            &series(
+                "serve.job.wall_ms",
+                &[("tenant", "acme"), ("job", "00000000deadbeef")],
+            ),
             40,
         );
-        s.set("serve.job.units", &[("job", "00000000deadbeef")], 7);
-        let text = render_prometheus(&RunMetrics::new(), &s);
+        m.set_max(
+            &series("serve.job.units", &[("job", "00000000deadbeef")]),
+            7,
+        );
+        let text = render_prometheus(&m);
         assert!(
             text.contains("serve_tenant_submissions{tenant=\"acme\"} 2\n"),
             "{text}"
@@ -277,10 +205,24 @@ mod tests {
 
     #[test]
     fn label_values_are_escaped() {
-        let mut s = SeriesRegistry::new();
-        s.incr("serve.tenant.submissions", &[("tenant", "a\"b\\c\nd")], 1);
-        let text = render_prometheus(&RunMetrics::new(), &s);
+        let mut m = RunMetrics::new();
+        m.incr(
+            &series("serve.tenant.submissions", &[("tenant", "a\"b\\c\nd")]),
+            1,
+        );
+        // A value ending in `}` must not confuse the name split or the
+        // quantile label spliced into a labeled summary.
+        m.observe(&series("serve.job.wall_ms", &[("tenant", "x}")]), 5);
+        let text = render_prometheus(&m);
         assert!(text.contains("tenant=\"a\\\"b\\\\c\\nd\""), "{text}");
+        assert!(
+            text.contains("serve_job_wall_ms{tenant=\"x}\",quantile=\"0.5\"} "),
+            "{text}"
+        );
+        assert!(
+            text.contains("serve_job_wall_ms_sum{tenant=\"x}\"} 5\n"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -288,11 +230,10 @@ mod tests {
         let mut m = RunMetrics::new();
         m.incr("serve.b", 1);
         m.incr("serve.a", 1);
-        let mut s = SeriesRegistry::new();
-        s.incr("serve.t", &[("tenant", "b")], 1);
-        s.incr("serve.t", &[("tenant", "a")], 1);
-        let a = render_prometheus(&m, &s);
-        let b = render_prometheus(&m, &s);
+        m.incr(&series("serve.t", &[("tenant", "b")]), 1);
+        m.incr(&series("serve.t", &[("tenant", "a")]), 1);
+        let a = render_prometheus(&m);
+        let b = render_prometheus(&m);
         assert_eq!(a, b);
         // One TYPE line per name even with several label sets.
         assert_eq!(a.matches("# TYPE serve_t counter").count(), 1);
@@ -307,14 +248,20 @@ mod tests {
 
     #[test]
     fn counter_accumulates_and_len_counts_kinds() {
-        let mut s = SeriesRegistry::new();
-        assert!(s.is_empty());
-        s.incr("serve.x", &[("tenant", "t")], 1);
-        s.incr("serve.x", &[("tenant", "t")], 2);
-        assert_eq!(s.counter("serve.x", &[("tenant", "t")]), 3);
-        assert_eq!(s.counter("serve.x", &[("tenant", "other")]), 0);
-        s.set("serve.g", &[], 5);
-        s.observe("serve.h", &[], 9);
-        assert_eq!(s.len(), 3);
+        // A labeled series is an ordinary registry entry.
+        let mut m = RunMetrics::new();
+        let t = series("serve.x", &[("tenant", "t")]);
+        m.incr(&t, 1);
+        m.incr(&t, 2);
+        assert_eq!(m.counter(&t), 3);
+        assert_eq!(m.counter(&series("serve.x", &[("tenant", "other")])), 0);
+        assert_eq!(
+            series("serve.x", &[("tenant", "t"), ("job", "j")]),
+            "serve.x{job=\"j\",tenant=\"t\"}"
+        );
+        m.set_max(&series("serve.g", &[]), 5);
+        m.observe("serve.h", 9);
+        assert_eq!(m.len(), 3);
+        assert_eq!(m.maximum("serve.g"), 5);
     }
 }

@@ -20,7 +20,7 @@ use fires_obs::Json;
 #[derive(Clone, Debug, PartialEq)]
 pub struct SubmitRequest {
     /// Tenant the job is accounted against (admission limits, budget
-    /// caps, rejection metrics).
+    /// caps, rejection metrics); the wire accepts `[A-Za-z0-9_.-]+`.
     pub tenant: String,
     /// Suite name (`small`/`table2`); mutually exclusive with
     /// `circuits`.
@@ -198,6 +198,19 @@ fn req_str(j: &Json, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing string field {key:?}"))
 }
 
+/// The `tenant` field, restricted to `[A-Za-z0-9_.-]+`. The tenant is
+/// spliced into metric names (`serve.rejected.<tenant>`) and label
+/// values, so a brace, quote or newline from the wire must never reach
+/// the registry or the Prometheus exposition.
+fn tenant(j: &Json) -> Result<String, String> {
+    let t = req_str(j, "tenant")?;
+    let ok = |c: char| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-');
+    if t.is_empty() || !t.chars().all(ok) {
+        return Err(format!("tenant {t:?} must match [A-Za-z0-9_.-]+"));
+    }
+    Ok(t)
+}
+
 impl Request {
     /// Compact single-line JSON form.
     pub fn to_json(&self) -> Json {
@@ -259,7 +272,7 @@ impl Request {
         match j.get("type").and_then(Json::as_str) {
             Some("submit") => {
                 let mut s = SubmitRequest {
-                    tenant: req_str(j, "tenant")?,
+                    tenant: tenant(j)?,
                     ..SubmitRequest::default()
                 };
                 s.suite = j.get("suite").and_then(Json::as_str).map(str::to_string);
@@ -560,6 +573,19 @@ mod tests {
         assert!(Response::parse("{\"type\":\"hit\"}").is_err());
         assert!(Request::parse("{\"type\":\"shutdown\",\"drain\":3}").is_err());
         assert!(Response::parse("{\"type\":\"ready\"}").is_err());
+    }
+
+    #[test]
+    fn tenants_outside_the_safe_charset_are_rejected() {
+        let submit = |tenant: &str| {
+            let mut j = Json::object();
+            j.set("type", "submit").set("tenant", tenant);
+            Request::from_json(&j)
+        };
+        assert!(submit("acme-1.prod_2").is_ok());
+        for bad in ["", "a{b", "x}", "a\"b", "a\nb", "a b", "a=b"] {
+            assert!(submit(bad).is_err(), "{bad:?} accepted");
+        }
     }
 
     #[test]

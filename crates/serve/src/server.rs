@@ -77,7 +77,7 @@ use fires_jobs::{
     journal, report_with_tasks, resume, run_with_tasks, CampaignSpec, JournalSummary, ResolvedTask,
     RunnerConfig, UnitObserver,
 };
-use fires_obs::{names, render_prometheus, FieldValue, Json, RunReport, SeriesRegistry};
+use fires_obs::{names, render_prometheus, series, FieldValue, Json, RunReport};
 
 use crate::cache::ResultCache;
 use crate::chaos::{self, ChaosCounters, ServeChaos};
@@ -221,8 +221,9 @@ struct State {
     queue: VecDeque<u64>,
     cache: ResultCache,
     metrics: fires_obs::RunMetrics,
-    /// Labeled (tenant/job) exposition series; never enters reports.
-    series: SeriesRegistry,
+    /// Labeled (tenant/job) exposition series, named by
+    /// [`series`]; never enters reports.
+    series: fires_obs::RunMetrics,
     /// Queued-or-running jobs per tenant, for the admission limit.
     active: HashMap<String, usize>,
 }
@@ -355,18 +356,19 @@ impl Inner {
         Ok(dumped)
     }
 
-    /// The Prometheus text exposition document: the flat metrics
-    /// registry plus the labeled tenant/job series, with the
-    /// scrape-time gauges (queue depth, uptime) set on the way out.
-    /// The gauges live only in the rendered document — the flat
-    /// registry that rides inside status/exit reports never sees them.
+    /// The Prometheus text exposition document: the metrics registry
+    /// merged with the labeled tenant/job series, with the scrape-time
+    /// gauges (queue depth, uptime) set on the way out. Series and
+    /// gauges live only in the rendered copy — the registry that rides
+    /// inside status/exit reports never sees them.
     fn metrics_text(&self) -> String {
         let uptime = self.started.elapsed().as_secs();
         let st = self.lock();
-        let mut series = st.series.clone();
-        series.set(names::QUEUE_DEPTH, &[], st.queue.len() as u64);
-        series.set(names::UPTIME_SECONDS, &[], uptime);
-        render_prometheus(&st.metrics, &series)
+        let mut m = st.metrics.clone();
+        m.merge(&st.series);
+        m.set_max(names::QUEUE_DEPTH, st.queue.len() as u64);
+        m.set_max(names::UPTIME_SECONDS, uptime);
+        render_prometheus(&m)
     }
 
     /// Starts shutting down. `drain: false` exits as soon as every
@@ -507,8 +509,10 @@ impl Inner {
         let trace_id = self.trace.mint(key);
         let mut st = self.lock();
         st.metrics.incr(names::SUBMISSIONS, 1);
-        st.series
-            .incr(names::TENANT_SUBMISSIONS, &[("tenant", &s.tenant)], 1);
+        st.series.incr(
+            &series(names::TENANT_SUBMISSIONS, &[("tenant", &s.tenant)]),
+            1,
+        );
 
         let hit = match st.cache.get(key) {
             Some(report) => Some(report),
@@ -644,8 +648,10 @@ impl Inner {
             };
             st.metrics.incr(names::ENGINE_BUILDS, 1);
             st.series.observe(
-                names::JOB_QUEUE_WAIT_MS,
-                &[("tenant", &tenant), ("job", &job_id)],
+                &series(
+                    names::JOB_QUEUE_WAIT_MS,
+                    &[("tenant", &tenant), ("job", &job_id)],
+                ),
                 queued_at.elapsed().as_millis() as u64,
             );
             drop(st);
@@ -732,10 +738,9 @@ impl Inner {
                     self.cache_insert_locked(&mut st, key, text);
                     st.metrics.incr(names::COMPLETED, 1);
                     st.series
-                        .incr(names::TENANT_COMPLETED, &[("tenant", &tenant)], 1);
+                        .incr(&series(names::TENANT_COMPLETED, &[("tenant", &tenant)]), 1);
                     st.series.observe(
-                        names::JOB_WALL_MS,
-                        &[("tenant", &tenant), ("job", &job_id)],
+                        &series(names::JOB_WALL_MS, &[("tenant", &tenant), ("job", &job_id)]),
                         claimed_at.elapsed().as_millis() as u64,
                     );
                 }
@@ -1331,7 +1336,7 @@ pub fn run_server(mut cfg: ServeConfig) -> Result<(), String> {
             queue: VecDeque::new(),
             cache,
             metrics: fires_obs::RunMetrics::new(),
-            series: SeriesRegistry::new(),
+            series: fires_obs::RunMetrics::new(),
             active: HashMap::new(),
         }),
         wake: Condvar::new(),

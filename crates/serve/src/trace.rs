@@ -291,7 +291,7 @@ impl TraceStore {
 
     /// Writes the short-circuit trace of a cache hit: a `submit` span
     /// plus a `cache_hit` instant, in its own file. A hit never touches
-    /// a [`JobTrace`] — the job is long done.
+    /// a `JobTrace` — the job is long done.
     pub fn write_cache_hit(
         &self,
         dir: &Path,

@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use fires_obs::Json;
+use fires_obs::{names, Json};
 use fires_serve::{run_server, Connection, Request, Response, ServeConfig, SubmitRequest};
 
 mod common;
@@ -127,6 +127,25 @@ fn metrics_verb_renders_prometheus_with_labeled_series() {
     assert!(text.contains("# TYPE serve_queue_depth gauge"), "{text}");
     assert!(text.contains("# TYPE serve_uptime_seconds gauge"), "{text}");
 
+    // The status report carries the unlabeled registry only: no
+    // counter, maximum or histogram name holds a label block, while
+    // the scrape above carried the tenant and job series.
+    let Response::Status { report } = Connection::request(&socket, &Request::Status).unwrap()
+    else {
+        panic!("status verb failed");
+    };
+    let metrics = report.get("metrics").unwrap();
+    for kind in ["counters", "maxima", "histograms"] {
+        for name in metrics.get(kind).and_then(Json::as_obj).unwrap().keys() {
+            assert!(
+                !name.contains('{'),
+                "labeled {kind} entry in status: {name}"
+            );
+        }
+    }
+    let registry = fires_obs::RunMetrics::from_json(metrics).unwrap();
+    assert_eq!(registry.counter(names::SUBMISSIONS), 1);
+
     // The watchdog mirrors the same exposition into a snapshot file.
     let snapshot = dir.join("state").join("metrics").join("serve.prom");
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -136,6 +155,99 @@ fn metrics_verb_renders_prometheus_with_labeled_series() {
     }
     let snap = std::fs::read_to_string(&snapshot).unwrap();
     assert!(snap.contains("# TYPE serve_heartbeats counter"), "{snap}");
+    shutdown_now(&socket, handle);
+}
+
+/// True when `line` is a `# TYPE` comment or one sample of the text
+/// exposition format: a metric name, an optional block of
+/// `key="escaped value"` pairs, one space and an integer value.
+fn well_formed(line: &str) -> bool {
+    fn ident(s: &str) -> bool {
+        let mut cs = s.chars();
+        cs.next()
+            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
+            && cs.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+    }
+    if let Some(rest) = line.strip_prefix("# TYPE ") {
+        let parts: Vec<&str> = rest.split(' ').collect();
+        return parts.len() == 2
+            && ident(parts[0])
+            && ["counter", "gauge", "summary"].contains(&parts[1]);
+    }
+    let Some((series, value)) = line.rsplit_once(' ') else {
+        return false;
+    };
+    if value.parse::<u64>().is_err() {
+        return false;
+    }
+    let Some((name, block)) = series.split_once('{') else {
+        return ident(series);
+    };
+    if !ident(name) {
+        return false;
+    }
+    // Walk `k="v",...}` with backslash escapes inside values.
+    let mut rest = block;
+    loop {
+        let Some((key, tail)) = rest.split_once("=\"") else {
+            return false;
+        };
+        if !ident(key) {
+            return false;
+        }
+        let mut chars = tail.char_indices();
+        let end = loop {
+            match chars.next() {
+                Some((_, '\\')) => {
+                    if !matches!(chars.next(), Some((_, '\\' | '"' | 'n'))) {
+                        return false;
+                    }
+                }
+                Some((_, '\n')) | None => return false,
+                Some((i, '"')) => break i,
+                Some(_) => {}
+            }
+        };
+        rest = &tail[end + 1..];
+        if rest == "}" {
+            return true;
+        }
+        let Some(next) = rest.strip_prefix(',') else {
+            return false;
+        };
+        rest = next;
+    }
+}
+
+#[test]
+fn hostile_tenants_cannot_break_the_exposition() {
+    let dir = unique_temp_dir("hostile");
+    let mut cfg = ServeConfig::new(dir.join("sock"), dir.join("state"));
+    // Every admissible submit is refused by the tenant limit, so each
+    // tenant that gets past parsing lands in `serve.rejected.<tenant>`.
+    cfg.tenant_active = 0;
+    let (socket, handle) = start(cfg);
+
+    for tenant in ["a{b", "x}", "a{x=\"1\"} 5\nserve_completed 999", ""] {
+        let resp =
+            Connection::request(&socket, &Request::Submit(submit(&["s27"], tenant))).unwrap();
+        assert!(
+            matches!(&resp, Response::Error { message } if message.contains("tenant")),
+            "{tenant:?}: {resp:?}"
+        );
+    }
+    let resp = Connection::request(&socket, &Request::Submit(submit(&["s27"], "ok-1.t"))).unwrap();
+    assert!(matches!(resp, Response::Rejected { .. }), "{resp:?}");
+
+    let text = scrape(&socket);
+    assert!(text.contains("serve_rejected_ok_1_t 1\n"), "{text}");
+    assert!(!text.contains("serve_completed 999"), "{text}");
+    for line in text.lines() {
+        assert!(
+            well_formed(line),
+            "malformed exposition line {line:?}\n{text}"
+        );
+    }
     shutdown_now(&socket, handle);
 }
 

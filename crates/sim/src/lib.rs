@@ -30,14 +30,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod eventsim;
 mod faultsim;
 mod logic;
 mod parallel;
 mod seqsim;
 mod vectors;
 
-pub use eventsim::EventSim;
 pub use faultsim::{simulate_fault, simulate_faults, Detection, FaultSimSummary};
 pub use logic::Logic3;
 pub use parallel::parallel_simulate_faults;

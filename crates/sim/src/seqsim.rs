@@ -22,8 +22,7 @@ pub struct SeqSim<'c> {
     ff_state: Vec<Logic3>,
     /// Scratch: value of every node's net this cycle.
     values: Vec<Logic3>,
-    /// Gates evaluated over the simulator's lifetime (activity metric,
-    /// comparable with [`EventSim::gate_evaluations`](crate::EventSim::gate_evaluations)).
+    /// Gates evaluated over the simulator's lifetime (activity metric).
     evals: u64,
 }
 
@@ -41,8 +40,7 @@ impl<'c> SeqSim<'c> {
 
     /// Number of gate evaluations performed so far. The oblivious
     /// simulator evaluates every logic gate each cycle, so this grows by
-    /// the gate count per [`step`](Self::step) — the baseline that
-    /// [`EventSim`](crate::EventSim) undercuts.
+    /// the gate count per [`step`](Self::step).
     pub fn gate_evaluations(&self) -> u64 {
         self.evals
     }
