@@ -359,13 +359,23 @@ impl FramePlane {
     }
 }
 
+/// One frame's indicator planes, borrowed read-only by fault-set
+/// assembly. Bit `i` of each bitset stands for [`LineId`] `i`; every slice
+/// of bits is [`Implications::plane_words`] long.
+pub(crate) struct PlaneRef<'a> {
+    /// `unc_bits[v]`: lines that cannot take value `v` in this frame.
+    pub unc_bits: [&'a [u64]; 2],
+    /// Lines unobservable in this frame.
+    pub unobs_bits: &'a [u64],
+}
+
 #[inline]
-fn bit_is_set(bits: &[u64], index: usize) -> bool {
+pub(crate) fn bit_is_set(bits: &[u64], index: usize) -> bool {
     bits[index / 64] >> (index % 64) & 1 == 1
 }
 
 #[inline]
-fn set_bit(bits: &mut [u64], index: usize) {
+pub(crate) fn set_bit(bits: &mut [u64], index: usize) {
     bits[index / 64] |= 1u64 << (index % 64);
 }
 
@@ -396,14 +406,14 @@ fn all_bits_set(bits: &[u64], first: usize, last: usize) -> bool {
 }
 
 /// Iterator over the set bit positions of a bitset, ascending.
-struct SetBits<'a> {
+pub(crate) struct SetBits<'a> {
     words: &'a [u64],
     word_idx: usize,
     current: u64,
 }
 
 impl<'a> SetBits<'a> {
-    fn new(words: &'a [u64]) -> Self {
+    pub(crate) fn new(words: &'a [u64]) -> Self {
         SetBits {
             words,
             word_idx: 0,
@@ -819,6 +829,20 @@ impl<'c> Implications<'c> {
     fn unobs_span(&self, line: LineId, frame: Frame) -> Option<(u32, u32)> {
         let p = self.plane(frame)?;
         bit_is_set(&p.unobs_bits, line.index()).then(|| p.unobs_span[line.index()])
+    }
+
+    /// Words per bitset in every frame plane (`⌈num_lines / 64⌉`).
+    pub(crate) fn plane_words(&self) -> usize {
+        self.words
+    }
+
+    /// Read-only view of the planes of `frame`, or `None` when the frame
+    /// is outside the window or holds no indicator (all bits 0).
+    pub(crate) fn frame_planes(&self, frame: Frame) -> Option<PlaneRef<'_>> {
+        self.plane(frame).map(|p| PlaneRef {
+            unc_bits: [&p.unc_bits[0], &p.unc_bits[1]],
+            unobs_bits: &p.unobs_bits,
+        })
     }
 
     // ------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use fires_netlist::{Circuit, Fault, GateKind, LineGraph, LineId, StuckValue};
+use fires_netlist::{Circuit, Fault, LineGraph, LineId, LineKind};
 use fires_obs::{obs_span, PhaseClock, PhaseTimes, RuleProfile, RunMetrics};
 
 use crate::cancel::CancelToken;
@@ -11,7 +11,13 @@ use crate::error::CoreError;
 use crate::guard::{Budget, BudgetMeter, ExhaustionReason};
 use crate::report::{merge_candidate, FiresReport, IdentifiedFault, ProcessTrace};
 use crate::window::Frame;
-use crate::{FiresConfig, ValidationPolicy};
+use crate::FiresConfig;
+
+mod assembly;
+#[cfg(test)]
+mod reference;
+
+use assembly::{Assembly, SWEEP_CAP};
 
 /// How many validation-loop entries pass between cancellation polls in
 /// [`Fires::run_stem`]'s fault-set assembly.
@@ -29,15 +35,16 @@ pub(crate) mod phase {
 }
 
 /// Reusable per-worker scratch state for stem-granular runs: the shared
-/// flip-flop-distance cache, the per-fault forced-line closures, and the
-/// implication engines' allocation pool ([`EngineScratch`]). The caches
-/// are circuit-static memoizations and the scratch is pure allocation
-/// reuse — sharing one `StemCtx` across many [`Fires::run_stem`] calls
-/// only changes speed, never results.
+/// flip-flop-distance cache, the per-fault forced-line closures, the
+/// implication engines' allocation pool ([`EngineScratch`]) and the
+/// fault-set assembly bitsets. The caches are circuit-static
+/// memoizations and the scratch is pure allocation reuse — sharing one
+/// `StemCtx` across many [`Fires::run_stem`] calls of one circuit only
+/// changes speed, never results.
 ///
-/// Not `Send` (the closures are `Rc`-shared); give each worker thread its
-/// own. After catching a panic from `run_stem`, drop the context and start
-/// a fresh one — a cache mid-mutation at unwind time must not be reused.
+/// Give each worker thread its own. After catching a panic from
+/// `run_stem`, drop the context and start a fresh one — a cache
+/// mid-mutation at unwind time must not be reused.
 ///
 /// The context also carries the [`Budget`] applied to each
 /// [`Fires::run_stem`] call (unlimited by default). Budgets bound *effort*,
@@ -48,9 +55,9 @@ pub(crate) mod phase {
 #[derive(Default)]
 pub struct StemCtx {
     cache: DistCache,
-    forced: ForcedCache,
     budget: Budget,
     scratch: EngineScratch,
+    assembly: Assembly,
 }
 
 impl StemCtx {
@@ -204,13 +211,6 @@ pub struct Fires<'c> {
     circuit: &'c Circuit,
     lines: LineGraph,
     config: FiresConfig,
-}
-
-/// Support info for one fault membership in a per-frame fault set.
-#[derive(Clone, Copy, Debug)]
-struct Support {
-    /// Leftmost frame where uncontrollability must propagate.
-    min_unc_frame: Frame,
 }
 
 impl<'c> Fires<'c> {
@@ -470,10 +470,15 @@ impl<'c> Fires<'c> {
         let exhausted = p0.exhausted().or_else(|| p1.exhausted());
 
         clock.enter(phase::VALIDATION);
-        let Some(s0) = self.collect_fault_sets(&p0, &mut ctx.forced, &mut metrics, cancel) else {
-            return Err(interrupted());
-        };
-        let Some(s1) = self.collect_fault_sets(&p1, &mut ctx.forced, &mut metrics, cancel) else {
+        let Some((faults, found)) = self.assemble(
+            &p0,
+            &p1,
+            stem,
+            &mut ctx.assembly,
+            &mut metrics,
+            cancel,
+            SWEEP_CAP,
+        ) else {
             return Err(interrupted());
         };
 
@@ -493,10 +498,6 @@ impl<'c> Fires<'c> {
         // path (one integer add each); the observations happen once per
         // stem.
         metrics.observe("core.stem_steps", meter.steps());
-        metrics.observe(
-            "core.stem_queued",
-            (p0.stats().enqueued + p1.stats().enqueued) as u64,
-        );
         metrics.observe("core.stem_frames", frames as u64);
         for stats in [p0.stats(), p1.stats()] {
             metrics.incr(
@@ -509,28 +510,6 @@ impl<'c> Fires<'c> {
             metrics.set_max(
                 "core.max_unobs_queue_depth",
                 stats.max_unobs_queue_depth as u64,
-            );
-        }
-
-        let mut best: HashMap<Fault, IdentifiedFault> = HashMap::new();
-        let mut found = 0usize;
-        for (&(fault, frame), sup0) in &s0 {
-            let Some(sup1) = s1.get(&(fault, frame)) else {
-                continue;
-            };
-            let l = sup0.min_unc_frame.min(sup1.min_unc_frame);
-            let c = if l < frame { (frame - l) as u32 } else { 0 };
-            found += 1;
-            // merge_candidate's total order makes the result independent
-            // of this HashMap's iteration order.
-            merge_candidate(
-                &mut best,
-                IdentifiedFault {
-                    fault,
-                    c,
-                    frame,
-                    stem,
-                },
             );
         }
         clock.exit();
@@ -554,8 +533,6 @@ impl<'c> Fires<'c> {
         profile.export_counters(&mut metrics);
         ctx.scratch.zero = p0.into_scratch();
         ctx.scratch.one = p1.into_scratch();
-        let mut faults: Vec<IdentifiedFault> = best.into_values().collect();
-        faults.sort_by_key(|f| (f.fault.line, f.fault.stuck));
         Ok(StemFindings {
             stem,
             faults,
@@ -567,248 +544,6 @@ impl<'c> Fires<'c> {
             exhausted,
             profile,
         })
-    }
-
-    /// Section 5.2: assemble the per-frame fault sets `S_v^i` from the
-    /// process's indicators, applying validation if configured. Returns
-    /// `None` if `cancel` fired mid-assembly.
-    fn collect_fault_sets(
-        &self,
-        imp: &Implications<'_>,
-        forced_cache: &mut ForcedCache,
-        metrics: &mut RunMetrics,
-        cancel: &CancelToken,
-    ) -> Option<HashMap<(Fault, Frame), Support>> {
-        let mut sets: HashMap<(Fault, Frame), Support> = HashMap::new();
-        let mut validity = ValidityCache::default();
-        let mut since_poll = 0u32;
-        let add = |sets: &mut HashMap<(Fault, Frame), Support>,
-                   fault: Fault,
-                   frame: Frame,
-                   sup: Support| {
-            sets.entry((fault, frame))
-                .and_modify(|e| e.min_unc_frame = e.min_unc_frame.max(sup.min_unc_frame))
-                .or_insert(sup);
-        };
-
-        // Uncontrollable faults: a line that can never be v hosts an
-        // unactivatable stuck-at: 0-bar -> s-a-1, 1-bar -> s-a-0.
-        for id in imp.mark_ids() {
-            since_poll += 1;
-            if since_poll >= VALIDATION_POLL_STRIDE {
-                since_poll = 0;
-                if cancel.is_cancelled() {
-                    return None;
-                }
-            }
-            let m = imp.mark(id);
-            let stuck = match m.unc {
-                Unc::Zero => StuckValue::One,
-                Unc::One => StuckValue::Zero,
-            };
-            let fault = Fault::new(m.line, stuck);
-            if self.config.validate && !validity.valid(self, imp, forced_cache, fault, m.frame, id)
-            {
-                metrics.incr("core.validation_rejects", 1);
-                continue;
-            }
-            metrics.incr("core.validation_accepts", 1);
-            add(
-                &mut sets,
-                fault,
-                m.frame,
-                Support {
-                    min_unc_frame: m.min_frame,
-                },
-            );
-        }
-
-        // Unobservable faults: both stuck values, provided every blame
-        // indicator survives in the faulty circuit. Iterated in sorted
-        // (line, frame) order — the engine yields frame-major order, and
-        // the validity cache's sweep cap means iteration order could
-        // otherwise decide *which* candidates are conservatively dropped
-        // once the cap is hit. Sorting makes the fault sets a pure
-        // function of the process, which the deterministic-merge
-        // guarantee rests on.
-        let mut unobs: Vec<(LineId, Frame, &[MarkId])> = imp.unobs_iter().collect();
-        unobs.sort_unstable_by_key(|&(line, frame, _)| (line, frame));
-        for (line, frame, blame) in unobs {
-            since_poll += 1;
-            if since_poll >= VALIDATION_POLL_STRIDE {
-                since_poll = 0;
-                if cancel.is_cancelled() {
-                    return None;
-                }
-            }
-            metrics.observe("core.blame_set_size", blame.len() as u64);
-            for stuck in [StuckValue::Zero, StuckValue::One] {
-                let fault = Fault::new(line, stuck);
-                if self.config.validate
-                    && !blame
-                        .iter()
-                        .all(|&b| validity.valid(self, imp, forced_cache, fault, frame, b))
-                {
-                    metrics.incr("core.validation_rejects", 1);
-                    continue;
-                }
-                metrics.incr("core.validation_accepts", 1);
-                let min_unc_frame = blame
-                    .iter()
-                    .map(|&b| imp.min_frame_of(b))
-                    .min()
-                    .unwrap_or(frame);
-                add(&mut sets, fault, frame, Support { min_unc_frame });
-            }
-        }
-        Some(sets)
-    }
-
-    /// The set of lines whose value the fault pins to a constant, found by
-    /// closing over same-net copies, single-input gates, controlling-value
-    /// domination and flip-flop crossings. Returns `None` when the closure
-    /// exceeds the cap: validation then rejects the fault outright, which
-    /// sacrifices completeness on pathological fanout but never soundness.
-    fn forced_lines(&self, fault: Fault) -> Option<HashMap<LineId, [bool; 2]>> {
-        const CAP: usize = 512;
-        let mut forced: HashMap<LineId, [bool; 2]> = HashMap::new();
-        let mut stack = vec![(fault.line, fault.stuck.as_bool())];
-        while let Some((l, v)) = stack.pop() {
-            if forced.len() >= CAP {
-                return None;
-            }
-            let entry = forced.entry(l).or_default();
-            if entry[v as usize] {
-                continue;
-            }
-            entry[v as usize] = true;
-            let line = self.lines.line(l);
-            for &b in line.branches() {
-                stack.push((b, v));
-            }
-            if let Some((sink, _)) = line.sink_pin() {
-                let kind = self.circuit.node(sink).kind();
-                let out = self.lines.stem_of(sink);
-                match kind {
-                    GateKind::Buf => stack.push((out, v)),
-                    GateKind::Not => stack.push((out, !v)),
-                    GateKind::Dff => stack.push((out, v)),
-                    GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor
-                        if Some(v) == kind.controlling_value() =>
-                    {
-                        stack.push((out, v ^ kind.is_inverting()));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        Some(forced)
-    }
-}
-
-/// Run-wide cache of per-fault forced-line closures (they are
-/// circuit-static, so they can be shared across every stem and process).
-/// `None` = the closure overflowed its cap and the fault must be rejected
-/// conservatively.
-#[derive(Default)]
-struct ForcedCache {
-    map: HashMap<Fault, Option<ForcedLines>>,
-}
-
-/// A fault's forced-line closure: each line maps to the value(s) the fault
-/// pins it to.
-type ForcedLines = std::rc::Rc<HashMap<LineId, [bool; 2]>>;
-
-impl ForcedCache {
-    fn get(&mut self, fires: &Fires<'_>, fault: Fault) -> Option<ForcedLines> {
-        self.map
-            .entry(fault)
-            .or_insert_with(|| fires.forced_lines(fault).map(std::rc::Rc::new))
-            .clone()
-    }
-}
-
-/// Per-process memo of Definition-6 validity.
-///
-/// Two tiers: a cheap memoized check whether *any* indicator in the
-/// process contradicts the fault (almost always "no", making every
-/// derivation trivially valid), and — only when one exists — a single
-/// linear sweep over the derivation-ordered marks propagating invalidity
-/// from the contradicting marks to every descendant.
-#[derive(Default)]
-struct ValidityCache {
-    has_bad: HashMap<Fault, bool>,
-    invalid: HashMap<(Fault, Frame), std::rc::Rc<Vec<bool>>>,
-    sweeps: usize,
-}
-
-/// Upper bound on full invalidity sweeps per process. A sweep costs
-/// O(marks); on pathological processes where thousands of distinct faults
-/// each contradict some indicator, capping keeps the run polynomial —
-/// candidates beyond the cap are conservatively rejected.
-const SWEEP_CAP: usize = 512;
-
-impl ValidityCache {
-    #[allow(clippy::too_many_arguments)]
-    fn valid(
-        &mut self,
-        fires: &Fires<'_>,
-        imp: &Implications<'_>,
-        forced_cache: &mut ForcedCache,
-        fault: Fault,
-        ref_frame: Frame,
-        root: MarkId,
-    ) -> bool {
-        let Some(forced0) = forced_cache.get(fires, fault) else {
-            return false; // closure overflow: reject conservatively
-        };
-        let has_bad = match self.has_bad.get(&fault) {
-            Some(&b) => b,
-            None => {
-                let b = !bad_marks(imp, &forced0, Frame::MIN).is_empty()
-                    || !cut_edge_marks(fires, imp, fault).is_empty();
-                self.has_bad.insert(fault, b);
-                b
-            }
-        };
-        if !has_bad {
-            return true;
-        }
-        // Under the default AnyFrame policy validity does not depend on
-        // the reference frame; collapse the key so the sweep runs once per
-        // fault.
-        let key_frame = match fires.config.validation_policy {
-            ValidationPolicy::AnyFrame => Frame::MIN,
-            ValidationPolicy::EarlierFrames => ref_frame,
-        };
-        if !self.invalid.contains_key(&(fault, key_frame)) {
-            if self.sweeps >= SWEEP_CAP {
-                return false; // conservative: drop the candidate
-            }
-            self.sweeps += 1;
-            let mut bad = bad_marks(imp, &forced0, key_frame);
-            // Derivation steps that cross the faulty line against the
-            // signal flow are unsound regardless of frame policy.
-            bad.extend(cut_edge_marks(fires, imp, fault));
-            let mut invalid = vec![false; imp.num_marks()];
-            for id in bad {
-                invalid[id.index()] = true;
-            }
-            for i in 0..invalid.len() {
-                if !invalid[i]
-                    && imp
-                        .mark(MarkId::from_index(i))
-                        .parents
-                        .iter()
-                        .any(|p| invalid[p.index()])
-                {
-                    invalid[i] = true;
-                }
-            }
-            self.invalid
-                .insert((fault, key_frame), std::rc::Rc::new(invalid));
-        }
-        !self.invalid[&(fault, key_frame)][root.index()]
     }
 }
 
@@ -823,17 +558,10 @@ impl ValidityCache {
 /// `m`'s driver side: the stem of `m`'s driving node when `m` is a branch,
 /// or the driver's input lines when `m` is a stem.
 fn cut_edge_marks(fires: &Fires<'_>, imp: &Implications<'_>, fault: Fault) -> Vec<MarkId> {
-    use fires_netlist::LineKind;
-    let driver_side: Vec<LineId> = match fires.lines.line(fault.line).kind() {
-        LineKind::Branch { node, .. } => vec![fires.lines.stem_of(node)],
-        LineKind::Stem { node } => fires.lines.in_lines(node).to_vec(),
-    };
-    if driver_side.is_empty() {
-        return Vec::new(); // primary input or constant: no driver side
-    }
     let mut cut = Vec::new();
     let window = imp.window();
-    for &line in &driver_side {
+    let (stem, inputs) = driver_side(fires, fault.line);
+    for line in stem.into_iter().chain(inputs.iter().copied()) {
         for frame in window.leftmost()..=window.rightmost() {
             for unc in [Unc::Zero, Unc::One] {
                 let Some(id) = imp.unc_mark(line, frame, unc) else {
@@ -853,47 +581,20 @@ fn cut_edge_marks(fires: &Fires<'_>, imp: &Implications<'_>, fault: Fault) -> Ve
     cut
 }
 
-/// The indicators the fault falsifies: marks claiming a line cannot take
-/// the very value the fault pins it to. With `key_frame != Frame::MIN`
-/// (EarlierFrames policy) only frames before the reference count.
-fn bad_marks(
-    imp: &Implications<'_>,
-    forced: &HashMap<LineId, [bool; 2]>,
-    key_frame: Frame,
-) -> Vec<MarkId> {
-    let mut bad: Vec<MarkId> = Vec::new();
-    let window = imp.window();
-    // Two equivalent strategies; pick the cheaper one for this process.
-    if forced.len() * window.len() * 2 < imp.num_marks() {
-        for (&line, flags) in forced {
-            for v in [false, true] {
-                if !flags[v as usize] {
-                    continue;
-                }
-                for frame in window.leftmost()..=window.rightmost() {
-                    if key_frame != Frame::MIN && frame >= key_frame {
-                        continue;
-                    }
-                    if let Some(id) = imp.unc_mark(line, frame, Unc::cannot_be(v)) {
-                        bad.push(id);
-                    }
-                }
-            }
-        }
-    } else {
-        for id in imp.mark_ids() {
-            let m = imp.mark(id);
-            if key_frame != Frame::MIN && m.frame >= key_frame {
-                continue;
-            }
-            if let Some(flags) = forced.get(&m.line) {
-                if flags[m.unc.value() as usize] {
-                    bad.push(id);
-                }
-            }
-        }
+/// The driver side of line `m`: the stem of `m`'s driving node when `m` is
+/// a branch, or the driver's input lines when `m` is a stem (none for a
+/// primary input or constant).
+fn driver_side<'a>(fires: &'a Fires<'_>, m: LineId) -> (Option<LineId>, &'a [LineId]) {
+    match fires.lines.line(m).kind() {
+        LineKind::Branch { node, .. } => (Some(fires.lines.stem_of(node)), &[]),
+        LineKind::Stem { node } => (None, fires.lines.in_lines(node)),
     }
-    bad
+}
+
+/// Whether line `x` is on the [driver side](driver_side) of line `m`.
+fn on_driver_side(fires: &Fires<'_>, m: LineId, x: LineId) -> bool {
+    let (stem, inputs) = driver_side(fires, m);
+    stem == Some(x) || inputs.contains(&x)
 }
 
 #[cfg(test)]
@@ -988,6 +689,117 @@ mod tests {
         }
     }
 
+    /// Runs plane assembly over every stem at sweep cap `cap` and returns
+    /// the validation counters it recorded.
+    fn assembly_metrics(fires: &Fires<'_>, cap: usize) -> RunMetrics {
+        let mut metrics = RunMetrics::new();
+        let mut asm = Assembly::default();
+        for stem in fires.stems() {
+            let (p0, p1) = fires.analyze_stem(stem);
+            fires
+                .assemble(
+                    &p0,
+                    &p1,
+                    stem,
+                    &mut asm,
+                    &mut metrics,
+                    &CancelToken::never(),
+                    cap,
+                )
+                .expect("never cancelled");
+        }
+        metrics
+    }
+
+    /// `core.validation_cap_drops` counts the rejections the sweep cap
+    /// causes: none at the production cap on a small circuit, every
+    /// rejection at cap 0, and at cap 1 all but those of the first swept
+    /// fault of each process.
+    #[test]
+    fn sweep_cap_drops_are_counted() {
+        let circuit = bench::parse(
+            "INPUT(pi0)\nOUTPUT(f3_0_c)\nOUTPUT(po0)\nOUTPUT(po1)\n\
+             ff1 = DFF(g6)\ng0 = NOT(ff1)\ng6 = OR(ff1, g0)\n\
+             g8 = NOT(g0)\ng9 = NOT(g8)\nf3_0_b = DFF(k1)\n\
+             f3_0_c = DFF(ff1)\nf3_0_d = AND(f3_0_b, f3_0_c)\n\
+             po0 = OR(g0, f3_0_d)\npo1 = BUFF(g9)\nk1 = CONST1()\n",
+        )
+        .unwrap();
+        let fires = Fires::new(&circuit, FiresConfig::with_max_frames(5));
+        let [full, zero, one] = [SWEEP_CAP, 0, 1].map(|cap| assembly_metrics(&fires, cap));
+        let count = |m: &RunMetrics, name: &str| m.counter(&format!("core.validation_{name}"));
+        for m in [&zero, &one] {
+            // A drop turns an accept or a genuine reject into a reject.
+            assert_eq!(
+                count(m, "accepts") + count(m, "rejects"),
+                count(&full, "accepts") + count(&full, "rejects")
+            );
+            // The swept faults' genuine rejects are the full run's.
+            assert!(count(m, "rejects") - count(m, "cap_drops") <= count(&full, "rejects"));
+        }
+        assert!(
+            count(&full, "rejects") > 0,
+            "the circuit must reject something"
+        );
+        assert_eq!(count(&full, "cap_drops"), 0);
+        assert_eq!(count(&zero, "cap_drops"), count(&zero, "rejects"));
+        assert!(count(&zero, "rejects") > count(&full, "rejects"));
+        assert!(0 < count(&one, "cap_drops"));
+        assert!(count(&one, "cap_drops") < count(&zero, "cap_drops"));
+    }
+
+    /// A fault whose forced closure exceeds 512 lines is rejected
+    /// unchecked and counted as a cap drop: stem `a` drives 600 buffers,
+    /// so `a s-a-0` and `a s-a-1` each pin over 1,200 lines.
+    #[test]
+    fn forced_closure_overflow_is_a_counted_drop() {
+        let mut text = String::from("INPUT(a)\n");
+        for i in 0..600 {
+            text.push_str(&format!("OUTPUT(o{i})\no{i} = BUFF(a)\n"));
+        }
+        let circuit = bench::parse(&text).unwrap();
+        let report = Fires::new(&circuit, FiresConfig::default()).run();
+        // The stem assumptions "a cannot be 0" and "a cannot be 1" are the
+        // only candidates of `a s-a-1` and `a s-a-0`; nothing else is
+        // rejected.
+        assert_eq!(report.metrics().counter("core.validation_cap_drops"), 2);
+        assert_eq!(report.metrics().counter("core.validation_rejects"), 2);
+        let unvalidated = Fires::new(&circuit, FiresConfig::default().without_validation()).run();
+        assert_eq!(
+            unvalidated.metrics().counter("core.validation_cap_drops"),
+            0
+        );
+    }
+
+    /// `core.stem_steps` records each stem's fixpoint steps; with no
+    /// budget every enqueued implication is popped once, so each
+    /// observation equals the stem's `core.implications_enqueued` — the
+    /// value the removed `core.stem_queued` histogram recorded, bucket for
+    /// bucket.
+    #[test]
+    fn stem_steps_equal_enqueued_implications_on_the_small_suite() {
+        let never = CancelToken::never();
+        for entry in fires_circuits::suite::small_suite() {
+            let fires = Fires::new(&entry.circuit, FiresConfig::with_max_frames(entry.frames));
+            let mut ctx = StemCtx::new();
+            for stem in fires.stems() {
+                let f = fires
+                    .run_stem(stem, &mut ctx, &never)
+                    .unwrap()
+                    .into_findings();
+                let steps = f.metrics.histogram("core.stem_steps").unwrap();
+                assert_eq!(steps.count(), 1);
+                assert_eq!(
+                    steps.sum(),
+                    f.metrics.counter("core.implications_enqueued"),
+                    "{} stem {}",
+                    entry.name,
+                    stem.index()
+                );
+            }
+        }
+    }
+
     #[test]
     fn report_statistics_are_populated() {
         let circuit = bench::parse("INPUT(a)\nOUTPUT(z)\nn = NOT(a)\nz = AND(a, n)\n").unwrap();
@@ -1039,12 +851,7 @@ mod tests {
         assert_eq!(marks.sum(), report.marks_created() as u64);
         // Per-stem cost histograms: one observation per stem, each.
         let stems = report.stems_processed() as u64;
-        for name in [
-            "core.stem_steps",
-            "core.stem_queued",
-            "core.stem_frames",
-            "core.stem_micros",
-        ] {
+        for name in ["core.stem_steps", "core.stem_frames", "core.stem_micros"] {
             let h = m
                 .histogram(name)
                 .unwrap_or_else(|| panic!("{name} missing"));
@@ -1052,12 +859,12 @@ mod tests {
         }
         // Steps are real queue pops even with no budget configured, and
         // every enqueued implication is eventually popped (or dropped at
-        // trip time — not here, unlimited budget), so steps ≥ stems and
-        // the enqueued counter matches the per-stem histogram's mass.
+        // trip time — not here, unlimited budget), so the enqueued counter
+        // matches the step histogram's mass.
         assert!(m.histogram("core.stem_steps").unwrap().sum() > 0);
         assert_eq!(
             m.counter("core.implications_enqueued"),
-            m.histogram("core.stem_queued").unwrap().sum()
+            m.histogram("core.stem_steps").unwrap().sum()
         );
         // Phase breakdown: all three phases present, attribution within
         // the total (single clock, serial run).
