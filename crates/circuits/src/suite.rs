@@ -115,6 +115,127 @@ fn pipeline_with_conflicts(width: usize, depth: usize, conflicts: usize) -> Circ
     b.build().expect("pipeline suite circuit is well-formed")
 }
 
+/// One suite row before it is built: name, frame budget, and the
+/// function that builds its circuit.
+type Row = (&'static str, usize, fn() -> Circuit);
+
+/// The Table-2 rows in table order, each built only if it is kept:
+/// every row when `only` is `None`, else just the row named `only` (if
+/// there is one). Building is nearly all the cost of a lookup, so
+/// [`by_name`] pays for one circuit, not the whole suite.
+fn suite_rows(only: Option<&str>) -> Vec<SuiteEntry> {
+    let rows: [Row; 12] = [
+        ("s208_like", 13, || counter_with_patterns(8, (2, 4), 0, 0)),
+        ("s349_like", 4, || {
+            random_sequential(&RandomConfig {
+                seed: 349,
+                inputs: 9,
+                gates: 120,
+                ffs: 15,
+                outputs: 11,
+                fig3: 0,
+                chains: (0, 0),
+                conflicts: 1,
+            })
+        }),
+        ("s386_like", 4, || {
+            random_sequential(&RandomConfig {
+                seed: 386,
+                inputs: 7,
+                gates: 140,
+                ffs: 6,
+                outputs: 7,
+                fig3: 2,
+                chains: (1, 2),
+                conflicts: 2,
+            })
+        }),
+        ("s400_like", 12, || {
+            random_sequential(&RandomConfig {
+                seed: 400,
+                inputs: 3,
+                gates: 150,
+                ffs: 21,
+                outputs: 6,
+                fig3: 0,
+                chains: (1, 2),
+                conflicts: 0,
+            })
+        }),
+        ("s420_like", 15, || counter_with_patterns(16, (3, 7), 1, 0)),
+        ("s444_like", 11, || {
+            random_sequential(&RandomConfig {
+                seed: 444,
+                inputs: 3,
+                gates: 160,
+                ffs: 21,
+                outputs: 6,
+                fig3: 0,
+                chains: (0, 0),
+                conflicts: 3,
+            })
+        }),
+        ("s838_like", 15, || counter_with_patterns(32, (4, 11), 2, 0)),
+        ("s1238_like", 3, || pipeline_with_conflicts(16, 3, 3)),
+        ("s1423_like", 10, || {
+            random_sequential(&RandomConfig {
+                seed: 1423,
+                inputs: 17,
+                gates: 500,
+                ffs: 74,
+                outputs: 5,
+                fig3: 2,
+                chains: (0, 0),
+                conflicts: 1,
+            })
+        }),
+        ("prolog_like", 5, || {
+            random_sequential(&RandomConfig {
+                seed: 1010,
+                inputs: 36,
+                gates: 1200,
+                ffs: 136,
+                outputs: 73,
+                fig3: 10,
+                chains: (6, 2),
+                conflicts: 12,
+            })
+        }),
+        ("s5378_like", 15, || {
+            random_sequential(&RandomConfig {
+                seed: 5378,
+                inputs: 35,
+                gates: 2200,
+                ffs: 164,
+                outputs: 49,
+                fig3: 12,
+                chains: (6, 8),
+                conflicts: 10,
+            })
+        }),
+        ("s9234_like", 15, || {
+            random_sequential(&RandomConfig {
+                seed: 9234,
+                inputs: 36,
+                gates: 4500,
+                ffs: 211,
+                outputs: 39,
+                fig3: 16,
+                chains: (8, 6),
+                conflicts: 14,
+            })
+        }),
+    ];
+    rows.into_iter()
+        .filter(|(name, ..)| only.is_none_or(|only| only == *name))
+        .map(|(name, frames, build)| SuiteEntry {
+            name,
+            frames,
+            circuit: build(),
+        })
+        .collect()
+}
+
 /// Builds the full Table-2 suite. Deterministic: repeated calls construct
 /// identical circuits.
 ///
@@ -125,131 +246,7 @@ fn pipeline_with_conflicts(width: usize, depth: usize, conflicts: usize) -> Circ
 /// assert!(suite.iter().any(|e| e.name == "s838_like"));
 /// ```
 pub fn table2_suite() -> Vec<SuiteEntry> {
-    let mut rows = Vec::new();
-    let mut push = |name: &'static str, frames: usize, circuit: Circuit| {
-        rows.push(SuiteEntry {
-            name,
-            frames,
-            circuit,
-        });
-    };
-    push("s208_like", 13, counter_with_patterns(8, (2, 4), 0, 0));
-    push(
-        "s349_like",
-        4,
-        random_sequential(&RandomConfig {
-            seed: 349,
-            inputs: 9,
-            gates: 120,
-            ffs: 15,
-            outputs: 11,
-            fig3: 0,
-            chains: (0, 0),
-            conflicts: 1,
-        }),
-    );
-    push(
-        "s386_like",
-        4,
-        random_sequential(&RandomConfig {
-            seed: 386,
-            inputs: 7,
-            gates: 140,
-            ffs: 6,
-            outputs: 7,
-            fig3: 2,
-            chains: (1, 2),
-            conflicts: 2,
-        }),
-    );
-    push(
-        "s400_like",
-        12,
-        random_sequential(&RandomConfig {
-            seed: 400,
-            inputs: 3,
-            gates: 150,
-            ffs: 21,
-            outputs: 6,
-            fig3: 0,
-            chains: (1, 2),
-            conflicts: 0,
-        }),
-    );
-    push("s420_like", 15, counter_with_patterns(16, (3, 7), 1, 0));
-    push(
-        "s444_like",
-        11,
-        random_sequential(&RandomConfig {
-            seed: 444,
-            inputs: 3,
-            gates: 160,
-            ffs: 21,
-            outputs: 6,
-            fig3: 0,
-            chains: (0, 0),
-            conflicts: 3,
-        }),
-    );
-    push("s838_like", 15, counter_with_patterns(32, (4, 11), 2, 0));
-    push("s1238_like", 3, pipeline_with_conflicts(16, 3, 3));
-    push(
-        "s1423_like",
-        10,
-        random_sequential(&RandomConfig {
-            seed: 1423,
-            inputs: 17,
-            gates: 500,
-            ffs: 74,
-            outputs: 5,
-            fig3: 2,
-            chains: (0, 0),
-            conflicts: 1,
-        }),
-    );
-    push(
-        "prolog_like",
-        5,
-        random_sequential(&RandomConfig {
-            seed: 1010,
-            inputs: 36,
-            gates: 1200,
-            ffs: 136,
-            outputs: 73,
-            fig3: 10,
-            chains: (6, 2),
-            conflicts: 12,
-        }),
-    );
-    push(
-        "s5378_like",
-        15,
-        random_sequential(&RandomConfig {
-            seed: 5378,
-            inputs: 35,
-            gates: 2200,
-            ffs: 164,
-            outputs: 49,
-            fig3: 12,
-            chains: (6, 8),
-            conflicts: 10,
-        }),
-    );
-    push(
-        "s9234_like",
-        15,
-        random_sequential(&RandomConfig {
-            seed: 9234,
-            inputs: 36,
-            gates: 4500,
-            ffs: 211,
-            outputs: 39,
-            fig3: 16,
-            chains: (8, 6),
-            conflicts: 14,
-        }),
-    );
-    rows
+    suite_rows(None)
 }
 
 /// A fast subset of the suite for smoke tests and CI campaigns: the
@@ -257,10 +254,7 @@ pub fn table2_suite() -> Vec<SuiteEntry> {
 /// [`table2_suite`].
 pub fn small_suite() -> Vec<SuiteEntry> {
     const SMALL: &[&str] = &["s208_like", "s349_like", "s386_like", "s1238_like"];
-    let mut rows: Vec<SuiteEntry> = table2_suite()
-        .into_iter()
-        .filter(|e| SMALL.contains(&e.name))
-        .collect();
+    let mut rows: Vec<SuiteEntry> = SMALL.iter().filter_map(|name| by_name(name)).collect();
     rows.insert(
         0,
         SuiteEntry {
@@ -272,9 +266,9 @@ pub fn small_suite() -> Vec<SuiteEntry> {
     rows
 }
 
-/// Looks one suite circuit up by name.
+/// Looks one suite circuit up by name, building only that row.
 pub fn by_name(name: &str) -> Option<SuiteEntry> {
-    table2_suite().into_iter().find(|e| e.name == name)
+    suite_rows(Some(name)).pop()
 }
 
 /// Resolves any named circuit this crate can build: suite rows
@@ -350,7 +344,18 @@ mod tests {
     #[test]
     fn by_name_lookup() {
         assert!(by_name("s27_like").is_none());
+        assert!(by_name("nope").is_none());
         assert_eq!(by_name("s838_like").unwrap().frames, 15);
+    }
+
+    #[test]
+    fn by_name_builds_the_same_row_as_the_full_suite() {
+        for row in table2_suite() {
+            let one = by_name(row.name).unwrap();
+            assert_eq!(one.name, row.name);
+            assert_eq!(one.frames, row.frames, "{}", row.name);
+            assert_eq!(one.circuit, row.circuit, "{}", row.name);
+        }
     }
 
     #[test]

@@ -238,16 +238,26 @@ impl Json {
 
     /// Strict parse of a complete JSON document.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        skip_ws(bytes, &mut pos);
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return err(format!("trailing input at byte {pos}"));
-        }
-        Ok(value)
+        parse_document(text, parse_string)
     }
+}
+
+/// Parses a complete document, decoding every string and object key
+/// with `string` (the production [`parse_string`], or the test-only
+/// reference decoder it replaced).
+fn parse_document<S>(text: &str, string: S) -> Result<Json, JsonError>
+where
+    S: Fn(&[u8], &mut usize) -> Result<String, JsonError> + Copy,
+{
+    let bytes = text.as_bytes();
+    let mut pos = 0usize;
+    skip_ws(bytes, &mut pos);
+    let value = parse_value(bytes, &mut pos, string)?;
+    skip_ws(bytes, &mut pos);
+    if pos != bytes.len() {
+        return err(format!("trailing input at byte {pos}"));
+    }
+    Ok(value)
 }
 
 fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
@@ -290,13 +300,16 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_value<S>(bytes: &[u8], pos: &mut usize, string: S) -> Result<Json, JsonError>
+where
+    S: Fn(&[u8], &mut usize) -> Result<String, JsonError> + Copy,
+{
     match bytes.get(*pos) {
         None => err("unexpected end of input"),
         Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+        Some(b'"') => Ok(Json::Str(string(bytes, pos)?)),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -307,7 +320,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             }
             loop {
                 skip_ws(bytes, pos);
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, string)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -329,14 +342,14 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
                     return err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
                 skip_ws(bytes, pos);
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, string)?;
                 map.insert(key, value);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -367,6 +380,8 @@ fn parse_keyword(
     }
 }
 
+/// Decodes the JSON string starting at `bytes[*pos]` (its opening
+/// quote) and leaves `*pos` just past the closing quote.
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     if bytes.get(*pos) != Some(&b'"') {
         return err(format!("expected string at byte {pos}"));
@@ -414,15 +429,19 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| JsonError {
+                // Copy the whole run up to the next `"` or `\` (or the
+                // end of input) at once. Both stoppers are ASCII, so the
+                // run ends on a char boundary, and each byte is checked
+                // once: decoding stays linear in the input.
+                let start = *pos;
+                *pos += bytes[start..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - start);
+                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| JsonError {
                     message: "invalid UTF-8 in string".into(),
                 })?;
-                let Some(c) = rest.chars().next() else {
-                    return err(format!("unexpected end of string at byte {pos}"));
-                };
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
             }
         }
     }
@@ -447,6 +466,9 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         Err(_) => err(format!("invalid number {text:?} at byte {start}")),
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

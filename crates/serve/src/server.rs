@@ -3,14 +3,17 @@
 //!
 //! # Architecture
 //!
-//! One accept loop hands each connection to a short-lived handler
-//! thread; a fixed pool of worker threads drains a bounded admission
-//! queue of jobs. A *job* is a campaign keyed by the stable content
-//! hash of its resolved tasks ([`fires_core::content_hash`] per task,
-//! folded with the per-stem step budget), so two submissions that would
-//! produce byte-identical canonical reports share one key — and one
-//! execution (single-flight: a duplicate submitted while the first is
-//! queued or running just attaches to it).
+//! An acceptor thread blocks in `accept` and hands each connection to
+//! a short-lived handler thread; a fixed pool of worker threads drains
+//! a bounded admission queue of jobs. The calling thread polls for
+//! SIGTERM, shutdown and the end of a drain, off the request path.
+//!
+//! A *job* is a campaign keyed by the stable content hash of its
+//! resolved tasks ([`fires_core::content_hash`] per task, folded with
+//! the per-stem step budget), so two submissions that would produce
+//! byte-identical canonical reports share one key — and one execution
+//! (single-flight: a duplicate submitted while the first is queued or
+//! running just attaches to it).
 //!
 //! # Result store
 //!
@@ -235,11 +238,11 @@ struct Inner {
     wake: Condvar,
     /// Wakes waiters/watchers when any job reaches a terminal phase.
     done: Condvar,
-    /// Exit now: workers return, the accept loop breaks.
+    /// Exit now: workers return, the main loop and the acceptor break.
     stopping: AtomicBool,
     /// Admission is closed and in-flight jobs are checkpointing; the
-    /// accept loop turns this into `stopping` once workers finish or
-    /// the drain timeout elapses.
+    /// main loop turns this into `stopping` once workers finish or the
+    /// drain timeout elapses.
     draining: AtomicBool,
     /// Cooperative stop flag shared with every job's `RunnerConfig`
     /// (`&'static` because `RunnerConfig` is `Copy`); setting it makes
@@ -373,7 +376,7 @@ impl Inner {
 
     /// Starts shutting down. `drain: false` exits as soon as every
     /// thread notices; `drain: true` closes admission and lets the
-    /// accept loop orchestrate a bounded checkpoint-and-exit.
+    /// main loop orchestrate a bounded checkpoint-and-exit.
     fn begin_shutdown(&self, drain: bool) {
         self.flight.record("shutdown", {
             let mut d = Json::object();
@@ -489,9 +492,13 @@ impl Inner {
 
     /// Admission control: drain gate, cache lookup, single-flight
     /// attach, queue and tenant limits, enqueue.
-    fn admit(&self, s: &SubmitRequest) -> Result<Admission, String> {
+    ///
+    /// `accepted_us` is the trace-clock instant the connection was
+    /// accepted; the gap to admission becomes the request's `accept`
+    /// span.
+    fn admit(&self, s: &SubmitRequest, accepted_us: u64) -> Result<Admission, String> {
         // Stamped before any work so the `submit` span covers
-        // normalization (spec resolution builds every circuit).
+        // normalization (spec resolution builds the named circuits).
         let submit_ts = self.trace.now_us();
         if self.draining() || self.stopping() {
             // Typed, not an `error`: the client knows the daemon is
@@ -528,7 +535,14 @@ impl Inner {
             drop(st);
             if self
                 .trace
-                .write_cache_hit(&self.traces_dir(), trace_id, &s.tenant, key, submit_ts)
+                .write_cache_hit(
+                    &self.traces_dir(),
+                    trace_id,
+                    &s.tenant,
+                    key,
+                    accepted_us,
+                    submit_ts,
+                )
                 .is_some()
             {
                 self.lock().metrics.incr(names::TRACES_WRITTEN, 1);
@@ -592,7 +606,7 @@ impl Inner {
         *st.active.entry(s.tenant.clone()).or_insert(0) += 1;
         drop(st);
         self.trace.attach(key, trace_id, &s.tenant);
-        self.trace.submitted(key, submit_ts, &job_id);
+        self.trace.submitted(key, accepted_us, submit_ts, &job_id);
         self.flight_admission("admit", &s.tenant, Some(&job_id), "queued");
         self.wake.notify_one();
         Ok(Admission::Accepted { key, job: job_id })
@@ -874,8 +888,18 @@ impl Inner {
             }
 
             // Re-check on completion signal or after the interval,
-            // whichever comes first.
+            // whichever comes first. The phase is re-read under the
+            // guard the wait releases: a job that finished while the
+            // frames above were written has already signalled `done`,
+            // and waiting for that signal would stall a full interval.
             let st = self.lock();
+            let settled = !matches!(
+                st.jobs.get(&key).map(|j| &j.phase),
+                Some(Phase::Queued) | Some(Phase::Running)
+            );
+            if settled || self.stopping() || self.draining() {
+                continue;
+            }
             let _ = self
                 .done
                 .wait_timeout(st, interval)
@@ -1009,13 +1033,14 @@ impl Inner {
     }
 
     /// Handles one connection: one request line, one or more response
-    /// lines.
-    fn handle(self: &Arc<Self>, stream: UnixStream) {
+    /// lines. `accepted_us` is when the acceptor took the connection,
+    /// on the trace clock.
+    fn handle(self: &Arc<Self>, stream: UnixStream, accepted_us: u64) {
         let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
         if let Some(c) = self.cfg.chaos {
             if let Some(stall) = c.stall(chaos::next(&self.counters.stalls)) {
                 // An artificially slow client: the handler thread wears
-                // the stall, the accept loop and workers never notice.
+                // the stall, the acceptor and workers never notice.
                 self.lock().metrics.incr(names::DEGRADED_STALLS, 1);
                 self.flight_absorbed("stall", "");
                 std::thread::sleep(stall);
@@ -1057,7 +1082,7 @@ impl Inner {
             }
         };
         match request {
-            Request::Submit(s) => match self.admit(&s) {
+            Request::Submit(s) => match self.admit(&s, accepted_us) {
                 Ok(Admission::Hit { job, report }) => {
                     let _ = self.send(
                         &mut out,
@@ -1173,6 +1198,35 @@ impl Inner {
         }
     }
 
+    /// The acceptor thread: blocks in `accept` and hands each connection
+    /// to its own handler thread, stamped with the instant `accept`
+    /// returned. Returns once the server is stopping; the main thread
+    /// wakes it for that with one connection of its own.
+    fn accept_loop(self: &Arc<Self>, listener: UnixListener) {
+        for conn in listener.incoming() {
+            let accepted_us = self.trace.now_us();
+            if self.stopping() {
+                break;
+            }
+            let Ok(stream) = conn else {
+                continue;
+            };
+            if let Some(c) = self.cfg.chaos {
+                if c.accept_fails(chaos::next(&self.counters.accepts)) {
+                    // Drop the accepted connection on the floor: the
+                    // client sees EOF and retries; the loop keeps
+                    // accepting.
+                    self.lock().metrics.incr(names::DEGRADED_ACCEPT_FAULTS, 1);
+                    continue;
+                }
+            }
+            let inner = Arc::clone(self);
+            let _ = std::thread::Builder::new()
+                .name("fires-serve-conn".into())
+                .spawn(move || inner.handle(stream, accepted_us));
+        }
+    }
+
     /// Startup recovery: re-index every journal under the jobs dir.
     /// Complete journals become cache-servable `Done` jobs; incomplete
     /// ones — a previous server died mid-campaign — are re-queued so
@@ -1283,12 +1337,6 @@ pub fn run_server(mut cfg: ServeConfig) -> Result<(), String> {
     }
     let listener =
         UnixListener::bind(&cfg.socket).map_err(|e| format!("{}: {e}", cfg.socket.display()))?;
-    // Non-blocking so the accept loop can poll the SIGTERM latch and
-    // orchestrate the drain; accepted streams are switched back to
-    // blocking before handlers touch them.
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("{}: {e}", cfg.socket.display()))?;
     signal::install_sigterm_latch();
 
     // The cooperative stop flag shared with every job's runner. Leaked
@@ -1309,8 +1357,9 @@ pub fn run_server(mut cfg: ServeConfig) -> Result<(), String> {
     // A panic in a service thread dumps the flight before unwinding
     // continues. The filter keeps runner-level unit panics (injected by
     // chaos plans and *caught* by the runner's retry path) from
-    // spraying dumps: only named service threads and the accept loop's
-    // own thread count as a service crash.
+    // spraying dumps: only named service threads (the acceptor among
+    // them) and the main thread, which runs the drain, count as a
+    // service crash.
     {
         let flight = Arc::clone(&flight);
         let state_dir = cfg.state_dir.clone();
@@ -1372,6 +1421,13 @@ pub fn run_server(mut cfg: ServeConfig) -> Result<(), String> {
             .spawn(move || inner.watchdog())
             .map_err(|e| format!("spawning watchdog: {e}"))?
     };
+    let acceptor = {
+        let inner = Arc::clone(&inner);
+        std::thread::Builder::new()
+            .name("fires-serve-acceptor".into())
+            .spawn(move || inner.accept_loop(listener))
+            .map_err(|e| format!("spawning acceptor: {e}"))?
+    };
 
     {
         use std::io::Write as _;
@@ -1418,28 +1474,17 @@ pub fn run_server(mut cfg: ServeConfig) -> Result<(), String> {
                 break;
             }
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                if let Some(c) = inner.cfg.chaos {
-                    if c.accept_fails(chaos::next(&inner.counters.accepts)) {
-                        // Drop the accepted connection on the floor:
-                        // the client sees EOF and retries; the loop
-                        // keeps accepting.
-                        inner.lock().metrics.incr(names::DEGRADED_ACCEPT_FAULTS, 1);
-                        continue;
-                    }
-                }
-                let inner = Arc::clone(&inner);
-                let _ = std::thread::Builder::new()
-                    .name("fires-serve-conn".into())
-                    .spawn(move || inner.handle(stream));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(15));
-            }
-            Err(_) => continue,
-        }
+        // The acceptor serves requests meanwhile, so this poll sets only
+        // how soon SIGTERM, shutdown and the end of a drain are noticed.
+        std::thread::sleep(Duration::from_millis(15));
+    }
+    // Wake the acceptor out of its blocking `accept` with one
+    // connection of our own; it sees `stopping` and returns, dropping
+    // the listener. If nothing could connect (the socket file was
+    // removed under us), the acceptor may never return: leave it to
+    // process teardown rather than hang the exit.
+    if UnixStream::connect(&inner.cfg.socket).is_ok() || acceptor.is_finished() {
+        let _ = acceptor.join();
     }
 
     inner.wake.notify_all();

@@ -7,14 +7,15 @@
 //! is the only unsafe code in the crate, confined to this module.
 //!
 //! The handler itself does the only thing that is async-signal-safe
-//! here: store a relaxed atomic flag. The accept loop polls the flag
-//! (it runs non-blocking precisely so it *can* poll) and turns it into
-//! an orderly drain in normal code.
+//! here: store a relaxed atomic flag. The accept path does not poll: a
+//! dedicated acceptor thread blocks in `accept`. The daemon's main
+//! thread polls the flag instead, alongside the shutdown and drain
+//! state, and turns it into an orderly drain in normal code.
 #![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Set by the handler; consumed (swap-to-false) by the accept loop.
+/// Set by the handler; consumed (swap-to-false) by the main thread.
 static SIGTERM_PENDING: AtomicBool = AtomicBool::new(false);
 
 /// SIGTERM's number on every platform this daemon targets (Linux and
@@ -46,6 +47,12 @@ pub fn install_sigterm_latch() {
     }
 }
 
+/// Raises the latch exactly as the handler does, without a signal:
+/// the daemon then drains as if it had received SIGTERM.
+pub fn raise_sigterm() {
+    SIGTERM_PENDING.store(true, Ordering::Relaxed);
+}
+
 /// Consumes a pending SIGTERM: `true` at most once per delivery.
 pub fn take_sigterm() -> bool {
     SIGTERM_PENDING.swap(false, Ordering::Relaxed)
@@ -59,7 +66,7 @@ mod tests {
     fn latch_is_consumed_once() {
         // Raise the flag the way the handler would, without involving a
         // real signal delivery (other tests share the process).
-        SIGTERM_PENDING.store(true, Ordering::Relaxed);
+        raise_sigterm();
         assert!(take_sigterm());
         assert!(!take_sigterm());
     }

@@ -4,11 +4,14 @@
 //! folded with a per-connection nonce, so two submissions of the same
 //! campaign get distinct ids that still reveal their shared job — and
 //! the job's whole lifecycle is recorded as one connected Chrome-trace
-//! lane: a `submit` span (admission), a `queue_wait` span (enqueue to
-//! worker claim), an `engine` span (execution, with one instant per
-//! completed unit and per journal append), and a `merge` span (the
-//! deterministic report merge). Cache hits and single-flight attaches
-//! appear as instants, so a request that never ran still renders.
+//! lane: an `accept` span (from `accept` returning to admission: the
+//! request line's read and parse), a `submit` span (admission), a
+//! `queue_wait` span (enqueue to worker claim), an `engine` span
+//! (execution, with one instant per completed unit and per journal
+//! append), and a `merge` span (the deterministic report merge). Cache
+//! hits and single-flight attaches appear as instants, so a request
+//! that never ran still renders; a cache hit's file carries its own
+//! `accept` and `submit` spans.
 //!
 //! When a job reaches a terminal phase the store writes one
 //! `<traces>/<trace_id>.trace.json` per attached request — the
@@ -146,11 +149,16 @@ impl TraceStore {
         });
     }
 
-    /// Records the admission chain of a fresh job: a `submit` span
-    /// from `submit_ts_us` (request entry) to now, then the opening of
-    /// the `queue_wait` span. No-op unless a request is attached.
-    pub fn submitted(&self, key: u64, submit_ts_us: u64, job_id: &str) {
+    /// Records the admission chain of a fresh job: an `accept` span
+    /// from `accepted_us` (the connection was accepted) to
+    /// `submit_ts_us` (admission began), a `submit` span from there to
+    /// now, then the opening of the `queue_wait` span. No-op unless a
+    /// request is attached.
+    pub fn submitted(&self, key: u64, accepted_us: u64, submit_ts_us: u64, job_id: &str) {
         let now = self.now_us();
+        for r in accept_span(accepted_us, submit_ts_us) {
+            self.push(key, r.ts_us, r.record);
+        }
         self.push(
             key,
             submit_ts_us,
@@ -289,19 +297,21 @@ impl TraceStore {
         written
     }
 
-    /// Writes the short-circuit trace of a cache hit: a `submit` span
-    /// plus a `cache_hit` instant, in its own file. A hit never touches
-    /// a `JobTrace` — the job is long done.
+    /// Writes the short-circuit trace of a cache hit: an `accept` span,
+    /// then a `submit` span holding a `cache_hit` instant, in its own
+    /// file. A hit never touches a `JobTrace` — the job is long done.
     pub fn write_cache_hit(
         &self,
         dir: &Path,
         trace_id: u64,
         tenant: &str,
         key: u64,
+        accepted_us: u64,
         submit_ts_us: u64,
     ) -> Option<PathBuf> {
         let now = self.now_us();
-        let records = vec![
+        let mut records = accept_span(accepted_us, submit_ts_us).to_vec();
+        records.extend([
             TimedRecord {
                 ts_us: submit_ts_us,
                 lane: 0,
@@ -326,7 +336,7 @@ impl TraceStore {
                     elapsed: std::time::Duration::from_micros(now.saturating_sub(submit_ts_us)),
                 },
             },
-        ];
+        ]);
         std::fs::create_dir_all(dir).ok()?;
         let label = format!("request {trace_id:016x}");
         let mut doc = trace_events_named(&records, &[(0, &label)]);
@@ -343,6 +353,29 @@ impl TraceStore {
     pub fn pending(&self) -> usize {
         self.lock().len()
     }
+}
+
+/// The `accept` span of one request: from the instant `accept`
+/// returned to the start of admission.
+fn accept_span(accepted_us: u64, submit_ts_us: u64) -> [TimedRecord; 2] {
+    [
+        TimedRecord {
+            ts_us: accepted_us,
+            lane: 0,
+            record: TraceRecord::SpanEnter {
+                name: "accept",
+                fields: Vec::new(),
+            },
+        },
+        TimedRecord {
+            ts_us: submit_ts_us,
+            lane: 0,
+            record: TraceRecord::SpanExit {
+                name: "accept",
+                elapsed: std::time::Duration::from_micros(submit_ts_us.saturating_sub(accepted_us)),
+            },
+        },
+    ]
 }
 
 #[cfg(test)]
@@ -392,7 +425,7 @@ mod tests {
         let t0 = store.now_us();
         store.attach(key, id, "ci");
         assert!(store.tracing(key));
-        store.submitted(key, t0, "000000000000abcd");
+        store.submitted(key, t0, store.now_us(), "000000000000abcd");
         store.claimed(key);
         store.instant(key, "unit", vec![("stem", FieldValue::U64(3))]);
         store.engine_done(key);
@@ -421,11 +454,14 @@ mod tests {
                 .and_then(Json::as_str),
             Some(format!("request {id:016x}").as_str())
         );
-        // The chain is connected: submit → queue_wait → engine (with
-        // the unit instant inside) → merge, B/E balanced on one lane.
+        // The chain is connected: accept → submit → queue_wait → engine
+        // (with the unit instant inside) → merge, B/E balanced on one
+        // lane.
         let seq = phases(&doc);
         let expect: Vec<(String, String)> = [
             ("request", "i"),
+            ("accept", "B"),
+            ("accept", "E"),
             ("submit", "B"),
             ("submit", "E"),
             ("queue_wait", "B"),
@@ -458,7 +494,7 @@ mod tests {
     fn records_without_an_attached_request_are_dropped() {
         let store = TraceStore::new();
         // No attach: every record call is a cheap no-op.
-        store.submitted(9, 0, "job");
+        store.submitted(9, 0, 0, "job");
         store.claimed(9);
         store.instant(9, "unit", Vec::new());
         assert_eq!(store.pending(), 0);
@@ -475,7 +511,7 @@ mod tests {
         let t0 = store.now_us();
         let first = store.mint(key);
         store.attach(key, first, "a");
-        store.submitted(key, t0, "job");
+        store.submitted(key, t0, t0, "job");
         let second = store.mint(key);
         store.attach(key, second, "b");
         store.instant(key, "deduped", Vec::new());
@@ -501,7 +537,8 @@ mod tests {
         let key = 11;
         let id = store.mint(key);
         store.attach(key, id, "t");
-        store.submitted(key, store.now_us(), "job");
+        let t0 = store.now_us();
+        store.submitted(key, t0, t0, "job");
         store.claimed(key); // engine left open
         let written = store.finish(key, &dir);
         assert_eq!(written.len(), 1);
@@ -522,13 +559,17 @@ mod tests {
         let dir = temp("hit");
         let store = TraceStore::new();
         let id = store.mint(3);
+        let accepted = store.now_us();
         let path = store
-            .write_cache_hit(&dir, id, "acme", 3, store.now_us())
+            .write_cache_hit(&dir, id, "acme", 3, accepted, store.now_us())
             .unwrap();
         let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let seq = phases(&doc);
         let names: Vec<&str> = seq.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["submit", "cache_hit", "submit"]);
+        assert_eq!(
+            names,
+            vec!["accept", "accept", "submit", "cache_hit", "submit"]
+        );
         assert_eq!(doc.get("tenant").and_then(Json::as_str), Some("acme"));
         assert_eq!(store.pending(), 0);
     }

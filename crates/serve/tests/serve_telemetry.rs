@@ -1,7 +1,7 @@
 //! In-process coverage of the serve telemetry surface: the `metrics`
 //! verb's Prometheus exposition (flat counters plus labeled
 //! tenant/job series and process gauges), the periodic snapshot file,
-//! the per-request Chrome trace files (one connected submit →
+//! the per-request Chrome trace files (one connected accept → submit →
 //! queue_wait → engine → merge lane, plus the cache-hit short
 //! circuit), and the `debug-dump` verb's flight-recorder dump
 //! replaying in `seq` order.
@@ -84,6 +84,14 @@ fn phases(doc: &Json) -> Vec<(String, String)> {
                 e.get("ph").and_then(Json::as_str).unwrap().to_string(),
             )
         })
+        .collect()
+}
+
+/// The span events (`B`/`E`) of a [`phases`] sequence, instants dropped.
+fn spans(seq: &[(String, String)]) -> Vec<(String, String)> {
+    seq.iter()
+        .filter(|(_, ph)| ph == "B" || ph == "E")
+        .cloned()
         .collect()
 }
 
@@ -283,15 +291,12 @@ fn submissions_write_connected_trace_lanes_and_cache_hits_short_circuit() {
             .and_then(Json::as_str),
         Some(format!("request {trace_id}").as_str())
     );
-    // One connected chain: submit → queue_wait → engine (with unit and
-    // journal instants inside) → merge, B/E balanced.
+    // One connected chain: accept → submit → queue_wait → engine (with
+    // unit and journal instants inside) → merge, B/E balanced.
     let seq = phases(&doc);
-    let spans: Vec<(String, String)> = seq
-        .iter()
-        .filter(|(_, ph)| ph == "B" || ph == "E")
-        .cloned()
-        .collect();
     let expect: Vec<(String, String)> = [
+        ("accept", "B"),
+        ("accept", "E"),
         ("submit", "B"),
         ("submit", "E"),
         ("queue_wait", "B"),
@@ -304,7 +309,7 @@ fn submissions_write_connected_trace_lanes_and_cache_hits_short_circuit() {
     .iter()
     .map(|(n, p)| (n.to_string(), p.to_string()))
     .collect();
-    assert_eq!(spans, expect, "{seq:?}");
+    assert_eq!(spans(&seq), expect, "{seq:?}");
     let units = seq.iter().filter(|(n, _)| n == "unit").count();
     assert!(units >= 1, "per-unit instants on the lane: {seq:?}");
     assert!(
@@ -325,6 +330,8 @@ fn submissions_write_connected_trace_lanes_and_cache_hits_short_circuit() {
         seq.iter().any(|(n, ph)| n == "cache_hit" && ph == "i"),
         "{seq:?}"
     );
+    // The hit's file starts with its own accept span, then admission.
+    assert_eq!(spans(&seq), expect[..4], "{seq:?}");
 
     // The exposition counts the written files.
     let text = scrape(&socket);
