@@ -7,10 +7,10 @@
 //! following line is one completed work unit:
 //!
 //! ```json
-//! {"kind":"header","schema":2,"spec":{...},"tasks":[{"circuit":"s27","hash":"93ab...","stems":9}]}
-//! {"kind":"unit","task":0,"stem":3,"status":"ok","faults":[[12,1,0,0]],"marks":41,"frames":5,"retries":0,"seconds":0.002,"phases":[["implication",0.001]],"metrics":{...}}
-//! {"kind":"event","seq":0,"task":0,"stem":4,"attempt":0,"what":"unit-retry","detail":"attempt panicked; caches rebuilt"}
-//! {"kind":"unit","task":0,"stem":4,"status":"panic","faults":[],"marks":0,"frames":0,"retries":1,"seconds":0.001,"phases":[],"metrics":{...}}
+//! {"kind":"header","schema":5,"spec":{...},"tasks":[{"circuit":"s27","hash":"93ab...","stems":9}]}
+//! {"fault_sets":[[0,-1,"03"],[1,0,"0001"]],"frames":5,"kind":"unit","marks":41,"metrics":{...},"phases":[["implication",0.001]],"retries":0,"seconds":0.002,"status":"ok","stem":3,"task":0}
+//! {"attempt":0,"detail":"attempt panicked; caches rebuilt","kind":"event","seq":0,"stem":4,"task":0,"what":"unit-retry"}
+//! {"fault_sets":[],"frames":0,"kind":"unit","marks":0,"metrics":{...},"phases":[],"retries":1,"seconds":0.001,"status":"panic","stem":4,"task":0}
 //! ```
 //!
 //! `unit` records are **terminal**: one per `(task, stem)`, whatever its
@@ -22,6 +22,18 @@
 //! raw [`LineId`] indices. Both are stable across processes for a
 //! structurally identical circuit, which the header hashes verify on
 //! resume.
+//!
+//! A unit's faults are journaled as `fault_sets`: one `[c, frame,
+//! "<hex>"]` entry per `(c, frame)` group, ascending by `(c, frame)`.
+//! The hex string is a bitset over fault ids `line * 2 + stuck`: byte
+//! `i` (two lowercase hex digits) holds ids `8i..8i+7`, bit `j` for id
+//! `8i + j`. Trailing zero bytes are dropped and empty groups are not
+//! written, so every fault set has exactly one spelling. Above, the
+//! first group holds ids 0 and 1 (line 0 at both stuck values) and the
+//! second holds id 8 (line 4 stuck-at-0). Journals written before
+//! schema 5 spell the same sets as a `faults` array of `[line, stuck,
+//! c, frame]` quadruples; [`read`] accepts either form on any unit line
+//! and returns the faults in canonical `(c, frame, line, stuck)` order.
 //!
 //! Every append is flushed before the runner considers the unit done, so
 //! a crash loses at most the unit being written. A torn final line (the
@@ -62,7 +74,15 @@ use crate::spec::{CampaignSpec, ResolvedTask};
 /// totally ordered on replay. Older journals' events read back with
 /// `seq` 0 (see [`EventRecord::seq`]); a resumed older journal gains
 /// sequenced events from 1 onward.
-pub const JOURNAL_SCHEMA: u64 = 4;
+/// Schema 5 journals each unit's faults as one hex bitset per `(c,
+/// frame)` group (`fault_sets`, see the module docs) instead of a
+/// `faults` array with one `[line, stuck, c, frame]` quadruple per
+/// fault: the same sets in about a tenth of the bytes, rendered and
+/// parsed in one linear pass. [`read`] accepts both forms in journals of
+/// every readable schema, so a resumed schema-4 journal keeps its header
+/// and gains bitset lines — and, as with the schema 2→3 bump, is no
+/// longer readable by schema-4-only builds.
+pub const JOURNAL_SCHEMA: u64 = 5;
 
 /// Oldest journal schema [`read`] still accepts.
 pub const JOURNAL_SCHEMA_MIN: u64 = 2;
@@ -125,6 +145,9 @@ impl UnitStatus {
     }
 }
 
+/// One journaled fault: `(line, stuck-at-one, c, frame)`.
+pub type UnitFault = (u32, bool, u32, i32);
+
 /// One journaled work unit: a (task, stem) pair and what it produced.
 #[derive(Clone, Debug, PartialEq)]
 pub struct UnitRecord {
@@ -137,8 +160,10 @@ pub struct UnitRecord {
     /// Identified faults as `(line, stuck-at-one, c, frame)`. Empty
     /// unless `status` is `Ok` or `Exhausted`; for `Exhausted` units
     /// these are the *partial*, non-final fault sets — kept for
-    /// observability, never merged into redundancy claims.
-    pub faults: Vec<(u32, bool, u32, i32)>,
+    /// observability, never merged into redundancy claims. Any order
+    /// may be appended; [`read`] returns each unit's faults
+    /// deduplicated, in canonical `(c, frame, line, stuck)` order.
+    pub faults: Vec<UnitFault>,
     /// Uncontrollability marks the stem's two processes derived.
     pub marks: u64,
     /// Frames spanned by the wider process.
@@ -250,19 +275,138 @@ fn header_from_json(j: &Json) -> Result<JournalHeader, JobError> {
     Ok(JournalHeader { spec, tasks })
 }
 
-fn unit_to_json(u: &UnitRecord) -> Json {
-    let faults = u
-        .faults
-        .iter()
-        .map(|&(line, stuck, c, frame)| {
+/// Lowercase hex digits, indexed by nibble.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Encodes `faults` as schema-5 `fault_sets` (see the module docs) in
+/// one pass over the faults: each sets its bit in its group's bitset,
+/// and only the few groups are sorted.
+fn fault_sets_to_json(faults: &[UnitFault]) -> Json {
+    let mut groups: Vec<((u32, i32), Vec<u8>)> = Vec::new();
+    let mut at = 0;
+    for &(line, stuck, c, frame) in faults {
+        let key = (c, frame);
+        // Faults arrive grouped, so the previous fault's group is
+        // almost always the right one.
+        if groups.get(at).map(|g| g.0) != Some(key) {
+            at = match groups.iter().position(|g| g.0 == key) {
+                Some(i) => i,
+                None => {
+                    groups.push((key, Vec::new()));
+                    groups.len() - 1
+                }
+            };
+        }
+        let id = line as usize * 2 + usize::from(stuck);
+        let bits = &mut groups[at].1;
+        if bits.len() <= id / 8 {
+            bits.resize(id / 8 + 1, 0);
+        }
+        bits[id / 8] |= 1 << (id % 8);
+    }
+    groups.sort_unstable_by_key(|g| g.0);
+    let sets = groups
+        .into_iter()
+        .map(|((c, frame), bits)| {
+            let mut hex = String::with_capacity(bits.len() * 2);
+            for b in bits {
+                hex.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+                hex.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
+            }
             Json::Arr(vec![
-                Json::Num(line as f64),
-                Json::Num(if stuck { 1.0 } else { 0.0 }),
-                Json::Num(c as f64),
-                Json::Num(frame as f64),
+                Json::from(c),
+                Json::from(i64::from(frame)),
+                Json::Str(hex),
             ])
         })
         .collect();
+    Json::Arr(sets)
+}
+
+/// Decodes schema-5 `fault_sets`, yielding the faults in canonical
+/// `(c, frame, line, stuck)` order. Anything but the one canonical
+/// spelling — groups out of order or repeated, an empty, odd-length,
+/// non-lowercase-hex or zero-padded bitset — is corruption.
+fn fault_sets_from_json(sets: &Json) -> Result<Vec<UnitFault>, JobError> {
+    let bad = |what: &str| JobError::journal(format!("fault set {what}"));
+    let sets = sets
+        .as_arr()
+        .ok_or_else(|| JobError::journal("unit fault_sets is not an array"))?;
+    let mut faults = Vec::new();
+    let mut prev: Option<(u32, i32)> = None;
+    for set in sets {
+        let set = set
+            .as_arr()
+            .filter(|s| s.len() == 3)
+            .ok_or_else(|| bad("is not a [c, frame, hex] triple"))?;
+        let c = set[0]
+            .as_u64()
+            .and_then(|c| u32::try_from(c).ok())
+            .ok_or_else(|| bad("c is not a u32"))?;
+        let frame = set[1]
+            .as_f64()
+            .filter(|f| f.fract() == 0.0 && (f64::from(i32::MIN)..=f64::from(i32::MAX)).contains(f))
+            .ok_or_else(|| bad("frame is not an i32"))? as i32;
+        if prev.is_some_and(|p| p >= (c, frame)) {
+            return Err(bad("groups are not in strictly ascending (c, frame) order"));
+        }
+        prev = Some((c, frame));
+        let hex = set[2]
+            .as_str()
+            .ok_or_else(|| bad("bitset is not a string"))?
+            .as_bytes();
+        if hex.is_empty() || hex.len() % 2 != 0 || hex.ends_with(b"00") {
+            return Err(bad("bitset is empty, odd-length or zero-padded"));
+        }
+        let nibble = |d: u8| match d {
+            b'0'..=b'9' => Ok(d - b'0'),
+            b'a'..=b'f' => Ok(d - b'a' + 10),
+            _ => Err(bad("bitset is not lowercase hex")),
+        };
+        for (i, pair) in hex.chunks_exact(2).enumerate() {
+            let mut byte = nibble(pair[0])? << 4 | nibble(pair[1])?;
+            while byte != 0 {
+                let id = i * 8 + byte.trailing_zeros() as usize;
+                let line = u32::try_from(id / 2).map_err(|_| bad("line is not a u32"))?;
+                faults.push((line, id % 2 == 1, c, frame));
+                byte &= byte - 1;
+            }
+        }
+    }
+    Ok(faults)
+}
+
+/// Decodes a legacy (schema ≤ 4) `faults` array of `[line, stuck, c,
+/// frame]` quadruples into the same canonical order as
+/// [`fault_sets_from_json`].
+fn faults_from_array(faults: &Json) -> Result<Vec<UnitFault>, JobError> {
+    let mut faults = faults
+        .as_arr()
+        .ok_or_else(|| JobError::journal("unit record has no fault array"))?
+        .iter()
+        .map(|f| {
+            let f = f
+                .as_arr()
+                .filter(|f| f.len() == 4)
+                .ok_or_else(|| JobError::journal("fault entry is not a 4-element array"))?;
+            let num = |i: usize| {
+                f[i].as_f64()
+                    .ok_or_else(|| JobError::journal("fault entry is not numeric"))
+            };
+            Ok((
+                num(0)? as u32,
+                num(1)? != 0.0,
+                num(2)? as u32,
+                num(3)? as i32,
+            ))
+        })
+        .collect::<Result<Vec<_>, JobError>>()?;
+    faults.sort_unstable_by_key(|&(line, stuck, c, frame)| (c, frame, line, stuck));
+    faults.dedup();
+    Ok(faults)
+}
+
+fn unit_to_json(u: &UnitRecord) -> Json {
     let phases = u
         .phases
         .iter()
@@ -273,7 +417,7 @@ fn unit_to_json(u: &UnitRecord) -> Json {
         .set("task", u.task as u64)
         .set("stem", u.stem as u64)
         .set("status", u.status.as_str())
-        .set("faults", Json::Arr(faults))
+        .set("fault_sets", fault_sets_to_json(&u.faults))
         .set("marks", u.marks)
         .set("frames", u.frames)
         .set("retries", u.retries)
@@ -300,28 +444,15 @@ fn unit_from_json(j: &Json) -> Result<UnitRecord, JobError> {
         .and_then(Json::as_str)
         .and_then(UnitStatus::parse)
         .ok_or_else(|| JobError::journal("unit record has no valid status"))?;
-    let faults = j
-        .get("faults")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| JobError::journal("unit record has no fault array"))?
-        .iter()
-        .map(|f| {
-            let f = f
-                .as_arr()
-                .filter(|f| f.len() == 4)
-                .ok_or_else(|| JobError::journal("fault entry is not a 4-element array"))?;
-            let num = |i: usize| {
-                f[i].as_f64()
-                    .ok_or_else(|| JobError::journal("fault entry is not numeric"))
-            };
-            Ok((
-                num(0)? as u32,
-                num(1)? != 0.0,
-                num(2)? as u32,
-                num(3)? as i32,
+    let faults = match (j.get("fault_sets"), j.get("faults")) {
+        (Some(sets), None) => fault_sets_from_json(sets)?,
+        (None, Some(array)) => faults_from_array(array)?,
+        _ => {
+            return Err(JobError::journal(
+                "unit record must carry exactly one of \"fault_sets\" and \"faults\"",
             ))
-        })
-        .collect::<Result<Vec<_>, JobError>>()?;
+        }
+    };
     // Observability extras: tolerated when absent (they carry no result
     // data), rejected when present but malformed.
     let phases = match j.get("phases") {
@@ -572,7 +703,14 @@ impl Journal {
     /// Appends one unit record and flushes it to the OS. After this
     /// returns the unit will survive a process kill.
     pub fn append(&mut self, unit: &UnitRecord) -> Result<(), JobError> {
-        self.append_line(&unit_to_json(unit))
+        self.append_unit_line(&UnitLine::render(unit))
+    }
+
+    /// [`append`](Self::append) for a unit record rendered beforehand,
+    /// so a journal shared behind a lock is held only for the write and
+    /// the flush.
+    pub fn append_unit_line(&mut self, line: &UnitLine) -> Result<(), JobError> {
+        self.write_line(&line.0)
     }
 
     /// Appends one observability event record (see [`EventRecord`]),
@@ -623,10 +761,25 @@ impl Journal {
     }
 
     fn append_line(&mut self, j: &Json) -> Result<(), JobError> {
-        let line = j.to_compact();
+        self.write_line(&j.to_compact())
+    }
+
+    fn write_line(&mut self, line: &str) -> Result<(), JobError> {
         debug_assert!(!line.contains('\n'), "compact JSON is single-line");
         writeln!(self.out, "{line}").map_err(|e| JobError::io(&self.path, e))?;
         self.out.flush().map_err(|e| JobError::io(&self.path, e))
+    }
+}
+
+/// A unit record rendered to its journal line (compact JSON, no
+/// newline), ready for [`Journal::append_unit_line`].
+#[derive(Clone, Debug)]
+pub struct UnitLine(String);
+
+impl UnitLine {
+    /// Renders `unit` as the line [`Journal::append`] would write.
+    pub fn render(unit: &UnitRecord) -> UnitLine {
+        UnitLine(unit_to_json(unit).to_compact())
     }
 }
 
@@ -855,23 +1008,26 @@ pub fn verify_header(
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
-    fn temp(name: &str) -> std::path::PathBuf {
+    pub(super) fn temp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("fires-jobs-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir.join("job.jsonl")
     }
 
-    fn sample_header() -> JournalHeader {
+    pub(super) fn sample_header() -> JournalHeader {
         let spec = CampaignSpec::from_circuits("t", ["s27", "fig3"]);
         let tasks = spec.resolve().unwrap();
         header_for(&spec, &tasks, &[9, 2])
     }
 
-    fn sample_unit() -> UnitRecord {
+    pub(super) fn sample_unit() -> UnitRecord {
         let mut metrics = RunMetrics::default();
         metrics.incr("core.marks_created", 41);
         UnitRecord {
@@ -1021,7 +1177,7 @@ mod tests {
         drop(j);
         let text = std::fs::read_to_string(&path)
             .unwrap()
-            .replace("\"schema\":4", "\"schema\":2");
+            .replace(&format!("\"schema\":{JOURNAL_SCHEMA}"), "\"schema\":2");
         assert!(text.contains("\"schema\":2"), "header must carry schema 2");
         std::fs::write(&path, text).unwrap();
         let back = read(&path).unwrap();
@@ -1029,7 +1185,8 @@ mod tests {
         assert!(back.progress.is_empty());
         // Schema 1 predates the resumable journal and is refused, as is
         // anything newer than this build.
-        for bogus in ["\"schema\":1", "\"schema\":5"] {
+        let newer = format!("\"schema\":{}", JOURNAL_SCHEMA + 1);
+        for bogus in ["\"schema\":1", newer.as_str()] {
             let text = std::fs::read_to_string(&path)
                 .unwrap()
                 .replace("\"schema\":2", bogus);
@@ -1055,7 +1212,8 @@ mod tests {
         drop(j);
         let mut text = std::fs::read_to_string(&path)
             .unwrap()
-            .replace("\"schema\":4", "\"schema\":3");
+            .replace(&format!("\"schema\":{JOURNAL_SCHEMA}"), "\"schema\":3");
+        assert!(text.contains("\"schema\":3"), "header must carry schema 3");
         text.push_str(
             "{\"kind\":\"event\",\"task\":0,\"stem\":5,\"attempt\":0,\
              \"what\":\"unit-retry\",\"detail\":\"old build\"}\n",
@@ -1284,6 +1442,92 @@ mod tests {
             verify_header(&header, &drifted, &[9]),
             Err(JobError::Mismatch { .. })
         ));
+    }
+
+    /// The sample unit's `fault_sets`: (12, true, 0, 0) is id 25, bit 1
+    /// of byte 3; (7, false, 2, -1) is id 14, bit 6 of byte 1.
+    const SAMPLE_SETS: &str = "\"fault_sets\":[[0,0,\"00000002\"],[2,-1,\"0040\"]]";
+
+    #[test]
+    fn fault_sets_spell_each_group_once() {
+        let line = UnitLine::render(&sample_unit()).0;
+        assert!(line.contains(SAMPLE_SETS), "{line}");
+        assert!(!line.contains("\"faults\""), "{line}");
+    }
+
+    #[test]
+    fn malformed_fault_sets_mid_file_are_errors() {
+        let path = temp("bad-sets");
+        let mut j = Journal::create(&path, &sample_header()).unwrap();
+        j.append(&sample_unit()).unwrap();
+        // A second unit after it, so no damage is excusable as a tear.
+        j.append(&UnitRecord {
+            stem: 4,
+            ..sample_unit()
+        })
+        .unwrap();
+        drop(j);
+        let good = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(read(&path).unwrap().units.len(), 2);
+        let first_unit = good.find(SAMPLE_SETS).unwrap();
+        for (what, bad) in [
+            ("odd-length hex", "\"fault_sets\":[[0,0,\"0000002\"]]"),
+            ("a non-hex digit", "\"fault_sets\":[[0,0,\"0g\"]]"),
+            ("an uppercase digit", "\"fault_sets\":[[0,0,\"0A\"]]"),
+            ("a trailing zero byte", "\"fault_sets\":[[0,0,\"0200\"]]"),
+            ("an empty bitset", "\"fault_sets\":[[0,0,\"\"]]"),
+            (
+                "a repeated group",
+                "\"fault_sets\":[[0,0,\"02\"],[0,0,\"04\"]]",
+            ),
+            (
+                "groups out of order",
+                "\"fault_sets\":[[2,-1,\"0040\"],[0,0,\"00000002\"]]",
+            ),
+            ("a non-integer frame", "\"fault_sets\":[[0,0.5,\"02\"]]"),
+            ("both fault fields", "\"fault_sets\":[],\"faults\":[]"),
+            ("neither fault field", "\"no_faults\":[]"),
+        ] {
+            let mut text = good.clone();
+            text.replace_range(first_unit..first_unit + SAMPLE_SETS.len(), bad);
+            std::fs::write(&path, &text).unwrap();
+            assert!(
+                matches!(read(&path), Err(JobError::Journal { .. })),
+                "{what} must be corruption: {bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_torn_bitset_line_at_the_tail_is_dropped() {
+        let path = temp("torn-sets");
+        let mut j = Journal::create(&path, &sample_header()).unwrap();
+        j.append(&sample_unit()).unwrap();
+        drop(j);
+        let before = std::fs::read_to_string(&path).unwrap();
+        // The kill landed inside the second unit's first bitset.
+        let line = UnitLine::render(&UnitRecord {
+            stem: 4,
+            ..sample_unit()
+        })
+        .0;
+        let cut = line.find("\"00000002").unwrap() + 5;
+        std::fs::write(&path, format!("{before}{}", &line[..cut])).unwrap();
+        let back = read(&path).unwrap();
+        assert!(back.torn);
+        assert_eq!(back.units, vec![sample_unit()]);
+        // A resume truncates it before appending.
+        let mut j2 = Journal::append_to(&path).unwrap();
+        j2.append(&UnitRecord {
+            stem: 4,
+            ..sample_unit()
+        })
+        .unwrap();
+        drop(j2);
+        assert!(std::fs::read_to_string(&path).unwrap().starts_with(&before));
+        let back = read(&path).unwrap();
+        assert!(!back.torn);
+        assert_eq!(back.units.len(), 2);
     }
 
     #[test]

@@ -17,6 +17,13 @@ use fires_obs::{Json, RuleProfile, RunMetrics, RunReport};
 use crate::journal::{JournalContents, UnitStatus};
 use crate::spec::ResolvedTask;
 
+/// Version of the canonical report layout, stamped as its `"schema"`.
+/// Bump on any change to the report's shape. Until journal schema 5 it
+/// was the journal's schema number; the schema-5 journal changed only
+/// how unit faults are spelled on disk, so the report stayed at 4 and
+/// its bytes are identical whichever journal form they were merged from.
+pub const REPORT_SCHEMA: u64 = 4;
+
 /// Merged results of one task.
 #[derive(Clone, Debug)]
 pub struct TaskReport {
@@ -225,7 +232,7 @@ impl CampaignReport {
         }
         let mut j = Json::object();
         j.set("campaign", self.campaign.clone())
-            .set("schema", crate::journal::JOURNAL_SCHEMA)
+            .set("schema", REPORT_SCHEMA)
             .set("tasks", Json::Arr(tasks));
         j
     }

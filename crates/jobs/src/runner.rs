@@ -38,7 +38,7 @@ use fires_core::{Budget, CancelToken, CoreError, Fires, StemCtx, StemOutcome};
 use crate::chaos::ChaosPlan;
 use crate::error::JobError;
 use crate::journal::{
-    self, EventRecord, Journal, JournalContents, ProgressRecord, UnitRecord, UnitStatus,
+    self, EventRecord, Journal, JournalContents, ProgressRecord, UnitLine, UnitRecord, UnitStatus,
 };
 use crate::spec::{CampaignSpec, ResolvedTask};
 
@@ -423,6 +423,9 @@ fn execute(
             if let Some(o) = rc.observer {
                 o.unit_finished(rc.trace_token, task, stem, record.seconds);
             }
+            // Rendered before the journal lock is taken: the lock then
+            // covers only the write and the flush.
+            let line = UnitLine::render(&record);
             if record.status == UnitStatus::Panic {
                 // Terminal panic: quarantine the unit and rebuild the
                 // task's caches (the panic may have left them mid-update).
@@ -450,7 +453,7 @@ fn execute(
                     }
                 }
             }
-            match append_with_retry(&journal, rc, task, stem, |j| j.append(&record)) {
+            match append_with_retry(&journal, rc, task, stem, |j| j.append_unit_line(&line)) {
                 Ok(0) => {}
                 Ok(io_retries) => {
                     retried.fetch_add(io_retries as usize, Ordering::Relaxed);

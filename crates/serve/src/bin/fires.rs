@@ -744,6 +744,12 @@ fn fmt_nanos(ns: u64) -> String {
     }
 }
 
+/// How `fires profile` arrives at per-rule time, stamped as the JSON
+/// form's `time_basis`: the engine times each stem, never each rule, so
+/// a rule's nanoseconds are the stem's wall clock shared out by the
+/// rule's fraction of the stem's steps — an estimate, not a measurement.
+const PROFILE_TIME_BASIS: &str = "stem_wall_clock_apportioned_by_step_share";
+
 /// The human-readable hotspot table behind `fires profile`.
 fn render_profile(source: &ProfileSource, top: usize) -> String {
     use std::fmt::Write;
@@ -753,7 +759,7 @@ fn render_profile(source: &ProfileSource, top: usize) -> String {
     let _ = writeln!(
         out,
         "{:<52} {:>12} {:>7} {:>10} {:>7}",
-        "rule", "steps", "steps%", "time", "time%"
+        "rule", "steps", "steps%", "est. time", "est.%"
     );
     let mut rows: Vec<_> = p.entries().collect();
     rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.index().cmp(&b.0.index())));
@@ -779,6 +785,10 @@ fn render_profile(source: &ProfileSource, top: usize) -> String {
             p.unattributed_steps() as f64 * 100.0 / total_steps as f64,
         );
     }
+    let _ = writeln!(
+        out,
+        "est. time: each stem's wall clock apportioned to its rules by step share"
+    );
     let _ = writeln!(
         out,
         "attribution: {}/{} step(s) named ({:.1}%)",
@@ -824,6 +834,7 @@ fn render_profile(source: &ProfileSource, top: usize) -> String {
 fn profile_json(source: &ProfileSource, top: usize) -> Json {
     let mut j = Json::object();
     j.set("subject", source.subject.clone())
+        .set("time_basis", PROFILE_TIME_BASIS)
         .set("profile", source.merged.to_json());
     let worst = worst_stem_rows(source, top);
     if !worst.is_empty() {
@@ -1435,6 +1446,12 @@ gone (1): counter.gone.counter
         let invert = rendered.find("invert").unwrap();
         assert!(blocked < gate && gate < invert, "{rendered}");
         assert!(rendered.contains("attribution: 140/141 step(s) named (99.3%)"));
+        // Per-rule time is labelled as the estimate it is.
+        assert!(rendered.contains("est. time"), "{rendered}");
+        assert!(
+            rendered.contains("apportioned to its rules by step share"),
+            "{rendered}"
+        );
         // Worst stems worst-first with their dominant rule.
         let stem1 = rendered.find("s27/stem1").unwrap();
         let stem0 = rendered.find("s27/stem0").unwrap();
@@ -1449,6 +1466,10 @@ gone (1): counter.gone.counter
         assert!(folded.contains("s27/stem1;unobservability;gate_input;gate 40\n"));
         // JSON carries the merged table plus the ranked stems.
         let j = profile_json(&source, 1);
+        assert_eq!(
+            j.get("time_basis").and_then(Json::as_str),
+            Some(PROFILE_TIME_BASIS)
+        );
         let worst = j.get("worst_stems").and_then(Json::as_arr).unwrap();
         assert_eq!(worst.len(), 1);
         assert_eq!(
